@@ -14,8 +14,10 @@ use cim_mapping::{layer_costs, min_pes, LayerCost, MappingOptions};
 use clsa_core::CoreError;
 use serde::Serialize;
 
-use crate::experiments::{paper_sweep_stored, ConfigResult, SweepOptions};
-use crate::runner::{parallel_map, sweep_jobs, ResultStore, RunnerOptions, SweepJob};
+use crate::experiments::{ConfigResult, SweepOptions};
+use crate::runner::{
+    parallel_map, run_batch, sweep_jobs, BatchPlan, ResultStore, RunnerOptions, SweepJob,
+};
 
 /// The canonicalized TinyYOLOv4 graph of the paper's case study
 /// (Sec. V-A) — BN folded, partitioned, ready for the pipeline.
@@ -56,28 +58,24 @@ pub fn fig6c_results_for(
     runner: &RunnerOptions,
     store: Option<&ResultStore>,
 ) -> Result<Vec<ConfigResult>, CoreError> {
-    paper_sweep_stored("TinyYOLOv4", graph, &fig6c_options(), runner, store)
-}
-
-/// The sweep configuration of Fig. 6c — one definition shared by the
-/// unsharded path and the job-list form, so both name the same rows.
-fn fig6c_options() -> SweepOptions {
-    SweepOptions {
-        xs: vec![16, 32],
-        ..SweepOptions::default()
-    }
+    let plan = BatchPlan { store, ..BatchPlan::default() };
+    Ok(run_batch(&fig6c_jobs(graph)?, runner, &plan)?.results)
 }
 
 /// The flat job list behind [`fig6c_results`] — the form sharded
 /// execution (`--shard i/n` / `--shard merge`) partitions and merges.
-/// Identical job identities to [`fig6c_results_for`], so slices warmed
-/// here replay in the unsharded path and vice versa.
+/// [`fig6c_results_for`] runs this same list, so slices warmed here
+/// replay in the unsharded path and vice versa.
 ///
 /// # Errors
 ///
 /// Propagates job-construction (canonicalization, architecture) errors.
 pub fn fig6c_jobs(graph: &Graph) -> Result<Vec<SweepJob>, CoreError> {
-    sweep_jobs("TinyYOLOv4", graph, &fig6c_options())
+    let opts = SweepOptions {
+        xs: vec![16, 32],
+        ..SweepOptions::default()
+    };
+    sweep_jobs("TinyYOLOv4", graph, &opts)
 }
 
 /// The per-layer cost rows of **Table I** — TinyYOLOv4's base-layer

@@ -28,9 +28,7 @@
 
 use cim_arch::Architecture;
 use cim_bench::artifacts::{case_study_graph, fig6c_jobs};
-use cim_bench::runner::{
-    fingerprint, run_batch_sharded_resumable, ResultStore, ScheduleCache, ShardMode, ShardOutcome,
-};
+use cim_bench::runner::{fingerprint, ResultStore, ScheduleCache, ShardMode};
 use cim_bench::{parse_common_args, render_table, CommonArgs};
 use cim_ir::Graph;
 use cim_mapping::Solver;
@@ -103,61 +101,12 @@ fn part_b(cs: &CaseStudy) {
 /// on a partial artifact.
 fn part_c(g: &Graph, args: &CommonArgs, store: Option<&ResultStore>) -> usize {
     println!("Fig. 6c — speedup and utilization (TinyYOLOv4)\n");
-    let json = args.json.as_deref();
     let jobs = fig6c_jobs(g).expect("sweep jobs build");
-    // A merge only replays the store; journaling applies to runs that
-    // evaluate jobs. Slices journal under their own tag so concurrent
-    // slices sharing one store directory never mix progress.
-    let shard_tag = match args.shard {
-        ShardMode::Slice(spec) => Some(spec.to_string().replace('/', "of")),
-        _ => None,
+    let Some(batch) = args.run_sweep(&jobs, store).expect("sweep runs") else {
+        return 0;
     };
-    let journal = match args.shard {
-        ShardMode::Merge => None,
-        _ => args.open_journal(&jobs, shard_tag.as_deref()),
-    };
-    let hook = args.fault_hook();
-    let outcome =
-        run_batch_sharded_resumable(&jobs, &args.runner, store, args.shard, journal.as_ref(), hook.as_ref())
-            .expect("sweep runs");
-    args.report_faults();
-    let quarantined;
-    let results = match outcome {
-        ShardOutcome::Slice(run) => {
-            // A slice only warms the store; the aggregated figure (and
-            // any --json artifact) comes from the final merge run.
-            println!("{run}");
-            for failure in &run.failures {
-                eprintln!("warning: {failure}");
-            }
-            if let Some(journal) = journal {
-                if run.failures.is_empty() {
-                    journal.finish();
-                }
-            }
-            println!("slice done — run the remaining slices, then `--shard merge`");
-            if json.is_some() {
-                eprintln!("note: --json ignored for a shard slice; export from `--shard merge`");
-            }
-            return run.failures.len();
-        }
-        ShardOutcome::Full(batch) | ShardOutcome::Merged(batch) => {
-            for failure in &batch.failures {
-                eprintln!("warning: {failure}");
-            }
-            if let Some(journal) = journal {
-                // Keep the journal while failures remain: a later
-                // `--resume` replays the survivors warm and retries only
-                // the quarantined jobs.
-                if batch.failures.is_empty() {
-                    journal.finish();
-                }
-            }
-            quarantined = batch.failures.len();
-            batch.results
-        }
-    };
-    let rows: Vec<Vec<String>> = results
+    let rows: Vec<Vec<String>> = batch
+        .results
         .iter()
         .map(|r| {
             vec![
@@ -187,11 +136,11 @@ fn part_c(g: &Graph, args: &CommonArgs, store: Option<&ResultStore>) -> usize {
     if let Some(store) = store {
         println!("persistent store: {}", store.stats());
     }
-    if let Some(path) = json {
-        cim_bench::write_json(path, &results).expect("write json");
+    if let Some(path) = &args.json {
+        cim_bench::write_json(path, &batch.results).expect("write json");
         println!("wrote {path}");
     }
-    quarantined
+    batch.failures.len()
 }
 
 fn main() {

@@ -19,7 +19,7 @@
 //! replays the fully-warm store into the byte-identical unsharded tables
 //! and `--json` artifact.
 
-use cim_bench::runner::{run_batch_sharded_resumable, sweep_jobs_for_models, ShardMode, ShardOutcome};
+use cim_bench::runner::sweep_jobs_for_models;
 use cim_bench::{parse_common_args, render_table, ConfigResult, SweepOptions};
 
 fn main() {
@@ -39,60 +39,8 @@ fn main() {
         .collect();
     let jobs = sweep_jobs_for_models(&models, &opts).expect("job construction");
     eprintln!("running {} configurations on {} workers...", jobs.len(), runner.jobs);
-    let shard_tag = match args.shard {
-        ShardMode::Slice(spec) => Some(spec.to_string().replace('/', "of")),
-        _ => None,
-    };
-    let journal = match args.shard {
-        ShardMode::Merge => None,
-        _ => args.open_journal(&jobs, shard_tag.as_deref()),
-    };
-    let hook = args.fault_hook();
-    let outcome = run_batch_sharded_resumable(
-        &jobs,
-        &runner,
-        store.as_ref(),
-        args.shard,
-        journal.as_ref(),
-        hook.as_ref(),
-    )
-    .expect("sweep runs");
-    args.report_faults();
-    let batch = match outcome {
-        ShardOutcome::Slice(run) => {
-            // A slice only warms the store; the tables (and any --json
-            // artifact) come from the final `--shard merge` run.
-            println!("{run}");
-            for failure in &run.failures {
-                eprintln!("warning: {failure}");
-            }
-            if let Some(journal) = journal {
-                if run.failures.is_empty() {
-                    journal.finish();
-                }
-            }
-            println!("slice done — run the remaining slices, then `--shard merge`");
-            if json.is_some() {
-                eprintln!("note: --json ignored for a shard slice; export from `--shard merge`");
-            }
-            if !run.failures.is_empty() {
-                // Quarantined jobs: the slice is partial. Exit loudly so
-                // an orchestrator knows to re-run (with `--resume`).
-                std::process::exit(3);
-            }
-            return;
-        }
-        ShardOutcome::Full(batch) | ShardOutcome::Merged(batch) => {
-            for failure in &batch.failures {
-                eprintln!("warning: {failure}");
-            }
-            if let Some(journal) = journal {
-                if batch.failures.is_empty() {
-                    journal.finish();
-                }
-            }
-            batch
-        }
+    let Some(batch) = args.run_sweep(&jobs, store.as_ref()).expect("sweep runs") else {
+        return;
     };
     let quarantined = batch.failures.len();
     let all: Vec<ConfigResult> = batch.results;

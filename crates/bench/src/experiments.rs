@@ -7,7 +7,7 @@ use cim_mapping::Solver;
 use clsa_core::{CoreError, SetPolicy};
 use serde::{Deserialize, Serialize};
 
-use crate::runner::{run_batch_with_store, sweep_jobs, ResultStore, RunnerOptions};
+use crate::runner::{run_batch, sweep_jobs, BatchPlan, RunnerOptions};
 
 /// One configuration's outcome — one bar of Fig. 6c / Fig. 7.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -65,11 +65,12 @@ impl Default for SweepOptions {
 /// Runs the full paper sweep for one model: the layer-by-layer baseline and
 /// `xinf` at `PE_min`, plus `wdup+x` and `wdup+x+xinf` for every `x`.
 ///
-/// Configurations execute on the lane-based worker pool (one worker per
-/// hardware thread) with the shared schedule cache; results are returned
-/// in deterministic order — baseline, xinf, then per `x` ascending
-/// (`wdup`, `wdup+xinf`) — and are bit-for-bit identical to a sequential
-/// run. Use [`paper_sweep_with`] to pick the worker count explicitly.
+/// Configurations execute on `runner`'s lane-based worker pool with the
+/// shared schedule cache; results are returned in deterministic order —
+/// baseline, xinf, then per `x` ascending (`wdup`, `wdup+xinf`) — and are
+/// bit-for-bit identical to a sequential run. For a persistent store,
+/// sharding, or a journal, build the jobs with [`sweep_jobs`] and pass a
+/// [`BatchPlan`] to [`run_batch`].
 ///
 /// # Errors
 ///
@@ -80,42 +81,10 @@ pub fn paper_sweep(
     name: &str,
     graph: &Graph,
     opts: &SweepOptions,
-) -> Result<Vec<ConfigResult>, CoreError> {
-    paper_sweep_with(name, graph, opts, &RunnerOptions::default())
-}
-
-/// [`paper_sweep`] with an explicit worker-pool configuration.
-///
-/// # Errors
-///
-/// Same conditions as [`paper_sweep`].
-pub fn paper_sweep_with(
-    name: &str,
-    graph: &Graph,
-    opts: &SweepOptions,
     runner: &RunnerOptions,
-) -> Result<Vec<ConfigResult>, CoreError> {
-    paper_sweep_stored(name, graph, opts, runner, None)
-}
-
-/// [`paper_sweep_with`] backed by a persistent result store
-/// (`--cache-dir`): jobs whose summaries are already on disk replay
-/// without scheduling, and fresh results are persisted for the next
-/// process. Rows are byte-identical to an unstored run.
-///
-/// # Errors
-///
-/// Same conditions as [`paper_sweep`]; store I/O problems are absorbed
-/// (see [`run_batch_with_store`]).
-pub fn paper_sweep_stored(
-    name: &str,
-    graph: &Graph,
-    opts: &SweepOptions,
-    runner: &RunnerOptions,
-    store: Option<&ResultStore>,
 ) -> Result<Vec<ConfigResult>, CoreError> {
     let jobs = sweep_jobs(name, graph, opts)?;
-    Ok(run_batch_with_store(&jobs, runner, store)?.results)
+    Ok(run_batch(&jobs, runner, &BatchPlan::default())?.results)
 }
 
 #[cfg(test)]
@@ -129,8 +98,8 @@ mod tests {
             xs: vec![1, 2],
             ..SweepOptions::default()
         };
-        let a = paper_sweep("fig5", &g, &opts).unwrap();
-        let b = paper_sweep("fig5", &g, &opts).unwrap();
+        let a = paper_sweep("fig5", &g, &opts, &RunnerOptions::default()).unwrap();
+        let b = paper_sweep("fig5", &g, &opts, &RunnerOptions::default()).unwrap();
         assert_eq!(a, b, "parallel sweep must be deterministic");
         let labels: Vec<&str> = a.iter().map(|r| r.label.as_str()).collect();
         assert_eq!(
@@ -158,8 +127,8 @@ mod tests {
             xs: vec![1, 2, 3],
             ..SweepOptions::default()
         };
-        let parallel = paper_sweep_with("fig5", &g, &opts, &RunnerOptions::with_jobs(4)).unwrap();
-        let sequential = paper_sweep_with("fig5", &g, &opts, &RunnerOptions::sequential()).unwrap();
+        let parallel = paper_sweep("fig5", &g, &opts, &RunnerOptions::with_jobs(4)).unwrap();
+        let sequential = paper_sweep("fig5", &g, &opts, &RunnerOptions::sequential()).unwrap();
         assert_eq!(parallel, sequential);
         // Byte-identical through serialization, not just PartialEq.
         assert_eq!(
@@ -175,7 +144,7 @@ mod tests {
             xs: vec![16, 32],
             ..SweepOptions::default()
         };
-        let results = paper_sweep("TinyYOLOv4", &g, &opts).unwrap();
+        let results = paper_sweep("TinyYOLOv4", &g, &opts, &RunnerOptions::default()).unwrap();
         assert_eq!(results.len(), 1 + 1 + 2 * 2);
         let by = |l: &str| results.iter().find(|r| r.label == l).unwrap();
 

@@ -124,6 +124,80 @@ impl CommonArgs {
         }
     }
 
+    /// Runs a sweep binary's job list under the shared flags — the one
+    /// sweep driver of `fig6` and `fig7`.
+    ///
+    /// Opens the sweep journal beside `store` (unless merging: a merge
+    /// only replays the store; slices journal under their own tag so
+    /// concurrent slices sharing one directory never mix progress), runs
+    /// [`run_batch`](crate::runner::run_batch) with `--shard` and the
+    /// fault plan, reports fired faults and quarantined jobs, and finishes
+    /// the journal when nothing was quarantined — otherwise the journal
+    /// stays so a later `--resume` retries only the quarantined jobs.
+    ///
+    /// Returns the batch for a full or merged run, for the caller to
+    /// render and export. A slice only warms the store: it prints its
+    /// status line, returns `None`, and — having no artifact to print —
+    /// exits the process with status 3 when it quarantined a job.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_batch`](crate::runner::run_batch); `--shard` without
+    /// `--cache-dir` is one of them.
+    pub fn run_sweep(
+        &self,
+        jobs: &[crate::runner::SweepJob],
+        store: Option<&crate::runner::ResultStore>,
+    ) -> Result<Option<crate::runner::BatchResult>, clsa_core::CoreError> {
+        use crate::runner::ShardMode;
+        let journal = match self.shard {
+            ShardMode::All => self.open_journal(jobs, None),
+            ShardMode::Slice(spec) => {
+                self.open_journal(jobs, Some(&spec.to_string().replace('/', "of")))
+            }
+            ShardMode::Merge => None,
+        };
+        let hook = self.fault_hook();
+        let plan = crate::runner::BatchPlan {
+            store,
+            shard: self.shard,
+            journal: journal.as_ref(),
+            faults: hook.as_deref(),
+        };
+        let batch = crate::runner::run_batch(jobs, &self.runner, &plan)?;
+        self.report_faults();
+        if let ShardMode::Slice(spec) = self.shard {
+            let store_stats = batch.store_stats.unwrap_or_default();
+            println!(
+                "shard {spec}: {} of {} jobs owned; cache {}; store {store_stats}",
+                batch.owned,
+                jobs.len(),
+                batch.stats
+            );
+        }
+        for failure in &batch.failures {
+            eprintln!("warning: {failure}");
+        }
+        if let Some(journal) = journal {
+            if batch.failures.is_empty() {
+                journal.finish();
+            }
+        }
+        if !matches!(self.shard, ShardMode::Slice(_)) {
+            return Ok(Some(batch));
+        }
+        // The aggregated tables (and any --json artifact) come from the
+        // final `--shard merge` run.
+        println!("slice done — run the remaining slices, then `--shard merge`");
+        if self.json.is_some() {
+            eprintln!("note: --json ignored for a shard slice; export from `--shard merge`");
+        }
+        if !batch.failures.is_empty() {
+            std::process::exit(3);
+        }
+        Ok(None)
+    }
+
     /// Prints the chaos plan's firing report (for CI pinning) if a plan
     /// is active.
     pub fn report_faults(&self) {

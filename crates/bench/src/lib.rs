@@ -33,11 +33,12 @@
 //! Sweep the paper's Fig. 5 example through the parallel runner:
 //!
 //! ```
+//! use cim_bench::runner::RunnerOptions;
 //! use cim_bench::{paper_sweep, SweepOptions};
 //!
 //! # fn main() -> Result<(), clsa_core::CoreError> {
 //! let opts = SweepOptions { xs: vec![1], ..SweepOptions::default() };
-//! let rows = paper_sweep("fig5", &cim_models::fig5_example(), &opts)?;
+//! let rows = paper_sweep("fig5", &cim_models::fig5_example(), &opts, &RunnerOptions::default())?;
 //! assert_eq!(rows.len(), 4); // baseline, xinf, wdup+1, wdup+1+xinf
 //! assert!(rows.iter().all(|r| r.speedup >= 1.0));
 //! # Ok(())
@@ -54,7 +55,7 @@ pub mod runner;
 pub mod table;
 pub mod tune;
 
-pub use experiments::{paper_sweep, paper_sweep_stored, paper_sweep_with, ConfigResult, SweepOptions};
+pub use experiments::{paper_sweep, ConfigResult, SweepOptions};
 pub use export::{
     parse_args_json, parse_cache_dir_arg, parse_common_args, parse_fault_args, parse_jobs_arg,
     parse_json_arg, parse_resume_arg, parse_seed_arg, parse_shard_arg, write_json, CommonArgs,

@@ -25,30 +25,34 @@
 //!    corruption policy.
 //!
 //! 5. **Survivability (opt-in)** — a panic in one job is caught, retried,
-//!    and quarantined ([`run_batch_resumable`]) instead of tearing down
-//!    the batch; a [`SweepJournal`] beside the store plus `--resume`
-//!    makes a SIGKILL'd sweep resumable with byte-identical output; and a
-//!    seeded [`fault::FaultPlan`] injects deterministic store/job faults
-//!    for reproducible chaos tests.
+//!    and quarantined (reported in [`BatchResult::failures`]) instead of
+//!    tearing down the batch; a [`SweepJournal`] beside the store plus
+//!    `--resume` makes a SIGKILL'd sweep resumable with byte-identical
+//!    output; and a seeded [`fault::FaultPlan`] injects deterministic
+//!    store/job faults for reproducible chaos tests.
 //!
 //! Layering: [`parallel_map`] (lane pool) → [`ScheduleCache`] (memo) →
-//! [`run_batch`] / [`run_batch_with_store`] (sweep jobs →
-//! [`BatchResult`]). The experiment binaries all sit on top and accept
-//! `--jobs N` (see [`parse_jobs_arg`](crate::parse_jobs_arg)) plus
-//! `--cache-dir <path>` (see
-//! [`parse_common_args`](crate::parse_common_args)).
+//! [`run_batch`] (sweep jobs → [`BatchResult`]). One [`BatchPlan`]
+//! selects everything opt-in — store, shard slice or merge, journal,
+//! fault hook — and its [`Default`] is the plain in-memory run. The
+//! experiment binaries all sit on top and accept `--jobs N` (see
+//! [`parse_jobs_arg`](crate::parse_jobs_arg)) plus `--cache-dir <path>`
+//! (see [`parse_common_args`](crate::parse_common_args)); `fig6` and
+//! `fig7` drive their sweeps through
+//! [`CommonArgs::run_sweep`](crate::CommonArgs::run_sweep).
 //!
 //! # Examples
 //!
 //! ```
-//! use cim_bench::runner::{run_batch, sweep_jobs, RunnerOptions};
+//! use cim_bench::runner::{run_batch, sweep_jobs, BatchPlan, RunnerOptions};
 //! use cim_bench::SweepOptions;
 //!
 //! # fn main() -> Result<(), clsa_core::CoreError> {
 //! let opts = SweepOptions { xs: vec![1], ..SweepOptions::default() };
 //! let jobs = sweep_jobs("fig5", &cim_models::fig5_example(), &opts)?;
-//! let parallel = run_batch(&jobs, &RunnerOptions::with_jobs(4))?;
-//! let sequential = run_batch(&jobs, &RunnerOptions::sequential())?;
+//! let plain = BatchPlan::default();
+//! let parallel = run_batch(&jobs, &RunnerOptions::with_jobs(4), &plain)?;
+//! let sequential = run_batch(&jobs, &RunnerOptions::sequential(), &plain)?;
 //! assert_eq!(parallel.results, sequential.results); // bit-for-bit
 //! assert!(parallel.stats.stage_hits() >= 1); // baseline/xinf shared stages
 //! # Ok(())
@@ -72,10 +76,8 @@ pub use lane::parallel_map;
 pub use shard::{shard_of, ShardMode, ShardSpec};
 pub use store::{ResultStore, RunSummary, StoreStats, STORE_FORMAT_VERSION};
 pub use sweep::{
-    merge_batch, pe_min_of, run_batch, run_batch_resumable, run_batch_shard,
-    run_batch_shard_resumable, run_batch_sharded, run_batch_sharded_resumable,
-    run_batch_with_store, sweep_jobs, sweep_jobs_for_models, BatchResult, JobFailure,
-    JobFailureKind, ShardOutcome, ShardRun, SweepJob, BASELINE_LABEL, MAX_JOB_ATTEMPTS,
+    pe_min_of, run_batch, sweep_jobs, sweep_jobs_for_models, BatchPlan, BatchResult, JobFailure,
+    JobFailureKind, SweepJob, BASELINE_LABEL, MAX_JOB_ATTEMPTS,
 };
 
 /// Worker-pool options.

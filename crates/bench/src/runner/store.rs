@@ -5,7 +5,7 @@
 //! versioned, fingerprint-keyed map from a job's [`CacheKey`] —
 //! `(model, architecture, strategy)` fingerprints — to the
 //! [`RunSummary`] the batch aggregator needs, so a
-//! re-run of `fig6`/`fig7`/`paper_sweep` after a code-irrelevant change
+//! re-run of `fig6`/`fig7`/`autotune` after a code-irrelevant change
 //! replays from disk instead of re-scheduling.
 //!
 //! # On-disk layout

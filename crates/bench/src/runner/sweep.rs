@@ -23,7 +23,7 @@ use super::fault::{panic_message, FaultHook, FaultSite};
 use super::fingerprint::{fingerprint, CacheKey};
 use super::journal::SweepJournal;
 use super::lane::parallel_map;
-use super::shard::{ShardMode, ShardSpec};
+use super::shard::ShardMode;
 use super::store::{ResultStore, RunSummary, StoreStats};
 use super::RunnerOptions;
 use crate::experiments::{ConfigResult, SweepOptions};
@@ -76,12 +76,15 @@ pub struct SweepJob {
 pub struct BatchResult {
     /// One row per job, in job order — identical to a sequential run.
     /// Quarantined jobs (see [`failures`](Self::failures)) produce no
-    /// row; with zero faults this is every job.
+    /// row; with zero faults this is every job. A shard slice
+    /// aggregates nothing and leaves this empty.
     pub results: Vec<ConfigResult>,
+    /// Jobs this run evaluated or replayed: every job, except under
+    /// [`ShardMode::Slice`], where it is the slice's share.
+    pub owned: usize,
     /// In-memory cache counters accumulated over the batch.
     pub stats: CacheStats,
-    /// Persistent-store counters, when the batch ran against a
-    /// `--cache-dir` ([`run_batch_with_store`]).
+    /// Persistent-store counters, when the plan had a store.
     pub store_stats: Option<StoreStats>,
     /// Typed per-job failure report: jobs quarantined after repeated
     /// panics, plus rows unaggregatable because their model's baseline
@@ -116,6 +119,17 @@ pub struct JobFailure {
     pub label: String,
     /// What went wrong.
     pub kind: JobFailureKind,
+}
+
+impl JobFailure {
+    fn quarantined(index: usize, job: &SweepJob, attempts: u32, message: String) -> Self {
+        JobFailure {
+            index,
+            model: job.model.clone(),
+            label: job.label.clone(),
+            kind: JobFailureKind::Quarantined { attempts, message },
+        }
+    }
 }
 
 impl std::fmt::Display for JobFailure {
@@ -153,8 +167,8 @@ fn job_fault_key(key: &CacheKey) -> u64 {
 }
 
 /// Runs one job with panic containment and bounded retry, consulting
-/// store, journal, and fault hook. This is the single job body shared by
-/// [`run_batch_resumable`] and [`run_batch_shard_resumable`].
+/// store, journal, and fault hook — the single job body of [`run_batch`]
+/// for every plan that evaluates jobs.
 fn run_one(
     index: usize,
     job: &SweepJob,
@@ -281,89 +295,145 @@ pub fn sweep_jobs_for_models(
     Ok(jobs)
 }
 
-/// Executes a flat job list on the lane pool and aggregates the rows.
-///
-/// Every job resolves through one shared [`ScheduleCache`], so repeated
-/// `(model, arch, strategy)` prefixes (e.g. the baseline and `xinf` rows
-/// of one model) are computed once. Results are deterministic: rows come
-/// out in job order with values independent of `options.jobs`.
-///
-/// # Errors
-///
-/// Propagates the first job error in job order (deterministically, even
-/// when a later job fails first on the wall clock). Speedup aggregation
-/// requires each model's [`BASELINE_LABEL`] row to be part of `jobs`;
-/// a missing baseline is a [`CoreError::StageMismatch`].
-pub fn run_batch(jobs: &[SweepJob], options: &RunnerOptions) -> Result<BatchResult, CoreError> {
-    run_batch_with_store(jobs, options, None)
+/// What a [`run_batch`] call does beyond the plain in-memory run. The
+/// [`Default`] plan is exactly that run: no store, no sharding, no
+/// journal, no fault injection.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BatchPlan<'a> {
+    /// Persistent store (`--cache-dir`). Each job first consults it under
+    /// its schedule-level [`CacheKey`]; a trustworthy row replays the
+    /// persisted [`RunSummary`] and skips the pipeline, and a miss
+    /// persists its fresh summary. Summaries round-trip bit-exactly, so
+    /// a warm run yields byte-identical rows. Store I/O problems never
+    /// fail the batch: unreadable rows are evicted and recomputed, failed
+    /// writes are counted in [`StoreStats::write_errors`].
+    pub store: Option<&'a ResultStore>,
+    /// Which jobs run here (see [`ShardMode`]). A slice evaluates the
+    /// jobs it owns ([`ShardSpec::owns`](super::ShardSpec::owns)) into the
+    /// store and aggregates no rows, since another slice may own a model's
+    /// baseline. A merge evaluates nothing: it replays every job from the
+    /// fully-warm store.
+    pub shard: ShardMode,
+    /// Completion journal for crash-safe `--resume`. Indices are into the
+    /// full job list, so every slice journals against one sweep
+    /// fingerprint under its own shard tag.
+    pub journal: Option<&'a SweepJournal>,
+    /// Deterministic chaos injection into job execution; store-level
+    /// sites are installed on the store itself.
+    pub faults: Option<&'a dyn FaultHook>,
 }
 
-/// [`run_batch`] backed by a persistent [`ResultStore`].
+/// Executes a flat job list under `plan` and aggregates the rows.
 ///
-/// Each job first consults the store under its schedule-level
-/// [`CacheKey`]; a trustworthy row skips the whole pipeline (mapping,
-/// stages, scheduling) and replays the persisted [`RunSummary`]. Misses
-/// compute through the shared in-memory [`ScheduleCache`] as usual and
-/// persist their summary afterwards, so a warm re-run of the same sweep
-/// is nearly free and — because aggregation consumes only summaries, and
-/// summaries round-trip bit-exactly — produces byte-identical rows.
+/// Jobs run on the lane pool through one shared [`ScheduleCache`], so
+/// repeated `(model, arch, strategy)` prefixes (e.g. the baseline and
+/// `xinf` rows of one model) are computed once. Each job runs under
+/// `catch_unwind` with bounded retry ([`MAX_JOB_ATTEMPTS`]); a job that
+/// panics every attempt is **quarantined** — reported in
+/// [`BatchResult::failures`] instead of tearing down the batch. Rows come
+/// out in job order with values independent of `options.jobs`, the plan's
+/// store, and its shard layout: a merge after every slice reproduces the
+/// unsharded rows byte for byte, because both go through one fold.
 ///
 /// # Errors
 ///
-/// Same conditions as [`run_batch`]. Store I/O problems never fail the
-/// batch: unreadable rows are evicted and recomputed, failed writes are
-/// counted in [`StoreStats::write_errors`].
-pub fn run_batch_with_store(
+/// - A slice or a merge without a store, or a journal without a store,
+///   is a [`CoreError::StageMismatch`] naming `--cache-dir`. A merge
+///   ignores the journal and the fault hook.
+/// - Typed pipeline errors propagate first in job order
+///   (deterministically, even when a later job fails first on the wall
+///   clock) — containment is for panics, not for configuration errors.
+/// - Aggregation requires each model's [`BASELINE_LABEL`] job to be in
+///   `jobs`; a missing baseline is a [`CoreError::StageMismatch`].
+/// - A merge with a job that has no persisted summary is a
+///   [`CoreError::StageMismatch`] naming the job.
+pub fn run_batch(
     jobs: &[SweepJob],
     options: &RunnerOptions,
-    store: Option<&ResultStore>,
+    plan: &BatchPlan<'_>,
 ) -> Result<BatchResult, CoreError> {
-    run_batch_resumable(jobs, options, store, None, None)
-}
+    const MERGE_POINT: &str = "the store is the merge point";
+    let needs_store = match plan.shard {
+        ShardMode::Slice(spec) => Some((format!("--shard {spec}"), MERGE_POINT)),
+        ShardMode::Merge => Some(("--shard merge".to_string(), MERGE_POINT)),
+        ShardMode::All => plan
+            .journal
+            .map(|_| ("a sweep journal".to_string(), "the store holds the journaled rows")),
+    };
+    if let (Some((what, why)), None) = (needs_store, plan.store) {
+        return Err(CoreError::StageMismatch {
+            detail: format!("{what} requires --cache-dir: {why}"),
+        });
+    }
 
-/// The fully-instrumented batch entry point: [`run_batch_with_store`]
-/// plus an optional completion [`SweepJournal`] (crash-safe `--resume`)
-/// and an optional [`FaultHook`] (deterministic chaos injection into job
-/// execution; store-level sites are installed on the store itself).
-///
-/// Each job runs under `catch_unwind` with bounded retry
-/// ([`MAX_JOB_ATTEMPTS`]); a job that panics every attempt is
-/// **quarantined** — reported in [`BatchResult::failures`] instead of
-/// tearing down the batch — and the surviving jobs aggregate through the
-/// unchanged fold, so with zero faults the rows are byte-identical to
-/// [`run_batch`].
-///
-/// # Errors
-///
-/// Same conditions as [`run_batch`]: typed pipeline errors
-/// ([`CoreError`]) still propagate first-in-job-order — containment is
-/// for panics, not for deterministic configuration errors.
-pub fn run_batch_resumable(
-    jobs: &[SweepJob],
-    options: &RunnerOptions,
-    store: Option<&ResultStore>,
-    journal: Option<&SweepJournal>,
-    faults: Option<&Arc<dyn FaultHook>>,
-) -> Result<BatchResult, CoreError> {
+    let owned: Vec<(usize, &SweepJob)> = jobs
+        .iter()
+        .enumerate()
+        .filter(|(_, job)| match plan.shard {
+            ShardMode::Slice(spec) => spec.owns(&CacheKey::schedule(job.model_fp, &job.config)),
+            ShardMode::All | ShardMode::Merge => true,
+        })
+        .collect();
     let cache = ScheduleCache::new();
-    let hook: Option<&dyn FaultHook> = faults.map(|a| a.as_ref());
-    let outcomes = parallel_map(jobs, options.jobs, |index, job| {
-        run_one(index, job, &cache, store, journal, hook)
-    });
-    let (results, failures) = aggregate(jobs, outcomes)?;
+    let outcomes = match (plan.shard, plan.store) {
+        (ShardMode::Merge, Some(store)) => jobs.iter().map(|job| replay(job, store)).collect(),
+        _ => parallel_map(&owned, options.jobs, |_, &(index, job)| {
+            run_one(index, job, &cache, plan.store, plan.journal, plan.faults)
+        }),
+    };
+    let (results, failures) = match plan.shard {
+        ShardMode::Slice(_) => (Vec::new(), slice_failures(&owned, outcomes)?),
+        ShardMode::All | ShardMode::Merge => aggregate(jobs, outcomes)?,
+    };
     Ok(BatchResult {
         results,
+        owned: owned.len(),
         stats: cache.stats(),
-        store_stats: store.map(ResultStore::stats),
+        store_stats: plan.store.map(ResultStore::stats),
         failures,
     })
 }
 
+/// A merge's outcome for one job: its persisted summary, or an error
+/// telling the operator which slice run is missing.
+fn replay(job: &SweepJob, store: &ResultStore) -> JobOutcome {
+    let key = CacheKey::schedule(job.model_fp, &job.config);
+    match store.get(&key) {
+        Some(summary) => JobOutcome::Done(summary),
+        None => JobOutcome::Failed(CoreError::StageMismatch {
+            detail: format!(
+                "merge: no persisted summary for job `{} {}` (key {key:?}); \
+                 run every `--shard i/n` slice against this --cache-dir first",
+                job.model, job.label
+            ),
+        }),
+    }
+}
+
+/// A slice's failure report: its quarantined jobs. A later merge names
+/// them as missing rows; re-running the slice (warm jobs replay free)
+/// fills the gaps.
+fn slice_failures(
+    owned: &[(usize, &SweepJob)],
+    outcomes: Vec<JobOutcome>,
+) -> Result<Vec<JobFailure>, CoreError> {
+    let mut failures = Vec::new();
+    for (&(index, job), outcome) in owned.iter().zip(outcomes) {
+        match outcome {
+            JobOutcome::Done(_) => {}
+            JobOutcome::Failed(e) => return Err(e),
+            JobOutcome::Panicked { attempts, message } => {
+                failures.push(JobFailure::quarantined(index, job, attempts, message));
+            }
+        }
+    }
+    Ok(failures)
+}
+
 /// Folds per-job summaries into the final row list — the single
-/// aggregation path shared by live runs ([`run_batch_with_store`]) and
-/// store replays ([`merge_batch`]), so a merged sharded sweep is
-/// byte-identical to an unsharded one by construction, not by parallel
-/// maintenance of two folds.
+/// aggregation path shared by live runs and store replays (merges), so a
+/// merged sharded sweep is byte-identical to an unsharded one by
+/// construction, not by parallel maintenance of two folds.
 fn aggregate(
     jobs: &[SweepJob],
     outcomes: Vec<JobOutcome>,
@@ -391,12 +461,7 @@ fn aggregate(
             JobOutcome::Done(s) => s,
             JobOutcome::Failed(e) => return Err(e),
             JobOutcome::Panicked { attempts, message } => {
-                failures.push(JobFailure {
-                    index,
-                    model: job.model.clone(),
-                    label: job.label.clone(),
-                    kind: JobFailureKind::Quarantined { attempts, message },
-                });
+                failures.push(JobFailure::quarantined(index, job, attempts, message));
                 continue;
             }
         };
@@ -441,216 +506,21 @@ fn aggregate(
     Ok((results, failures))
 }
 
-/// The outcome of one shard *slice* ([`run_batch_shard`]): counters, no
-/// rows — a slice deliberately produces no artifact, only warm store
-/// entries for the final merge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardRun {
-    /// The slice that ran.
-    pub shard: ShardSpec,
-    /// Jobs this slice owned (evaluated or replayed warm).
-    pub owned: usize,
-    /// Total jobs in the full (unsharded) list.
-    pub total: usize,
-    /// In-memory cache counters over the owned jobs.
-    pub stats: CacheStats,
-    /// Persistent-store counters (puts of fresh summaries, hits on a
-    /// warm re-run of the same slice).
-    pub store_stats: StoreStats,
-    /// Jobs of this slice quarantined after repeated panics. A later
-    /// `--shard merge` will name them as missing rows; re-run the slice
-    /// (warm jobs replay free) to fill the gaps.
-    pub failures: Vec<JobFailure>,
-}
-
-impl std::fmt::Display for ShardRun {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "shard {}: {} of {} jobs owned; cache {}; store {}",
-            self.shard, self.owned, self.total, self.stats, self.store_stats
-        )
-    }
-}
-
-/// Evaluates the slice of `jobs` owned by `shard`, persisting every
-/// summary into the shared `store` — one process of an `n`-way sharded
-/// sweep. Ownership is decided per job by its schedule-level
-/// [`CacheKey`] ([`ShardSpec::owns`]), so concurrent slices of the same
-/// list touch disjoint keys and never duplicate work; the store's
-/// two-process safety covers the shared directory.
-///
-/// No rows are aggregated here — aggregation needs every model's
-/// baseline, which another slice may own. Run [`merge_batch`] (or
-/// `--shard merge`) after all slices to produce the artifact.
-///
-/// # Errors
-///
-/// Propagates the first owned-job error in job order.
-pub fn run_batch_shard(
-    jobs: &[SweepJob],
-    options: &RunnerOptions,
-    store: &ResultStore,
-    shard: ShardSpec,
-) -> Result<ShardRun, CoreError> {
-    run_batch_shard_resumable(jobs, options, store, shard, None, None)
-}
-
-/// [`run_batch_shard`] with the full instrumentation of
-/// [`run_batch_resumable`]: panic quarantine (reported in
-/// [`ShardRun::failures`]), an optional journal (indices are into the
-/// **full** job list, so every slice journals against the same sweep
-/// fingerprint under its own shard tag), and an optional fault hook.
-///
-/// # Errors
-///
-/// Propagates the first owned-job [`CoreError`] in job order.
-pub fn run_batch_shard_resumable(
-    jobs: &[SweepJob],
-    options: &RunnerOptions,
-    store: &ResultStore,
-    shard: ShardSpec,
-    journal: Option<&SweepJournal>,
-    faults: Option<&Arc<dyn FaultHook>>,
-) -> Result<ShardRun, CoreError> {
-    let owned: Vec<(usize, &SweepJob)> = jobs
-        .iter()
-        .enumerate()
-        .filter(|(_, job)| shard.owns(&CacheKey::schedule(job.model_fp, &job.config)))
-        .collect();
-    let cache = ScheduleCache::new();
-    let hook: Option<&dyn FaultHook> = faults.map(|a| a.as_ref());
-    let outcomes = parallel_map(&owned, options.jobs, |_, (index, job)| {
-        run_one(*index, job, &cache, Some(store), journal, hook)
-    });
-    let mut failures = Vec::new();
-    for ((index, job), outcome) in owned.iter().zip(outcomes) {
-        match outcome {
-            JobOutcome::Done(_) => {}
-            JobOutcome::Failed(e) => return Err(e),
-            JobOutcome::Panicked { attempts, message } => failures.push(JobFailure {
-                index: *index,
-                model: job.model.clone(),
-                label: job.label.clone(),
-                kind: JobFailureKind::Quarantined { attempts, message },
-            }),
-        }
-    }
-    Ok(ShardRun {
-        shard,
-        owned: owned.len(),
-        total: jobs.len(),
-        stats: cache.stats(),
-        store_stats: store.stats(),
-        failures,
-    })
-}
-
-/// Replays a fully-warm `store` into the unsharded [`BatchResult`]:
-/// every job's summary must already be persisted (by any combination of
-/// slice and unsharded runs). Aggregation goes through the same fold as
-/// a live run, so the rows — and any `--json` artifact serialized from
-/// them — are byte-identical to an unsharded sweep.
-///
-/// # Errors
-///
-/// A job with no persisted summary is a [`CoreError::StageMismatch`]
-/// naming the job — run the missing `--shard i/n` slices first.
-pub fn merge_batch(jobs: &[SweepJob], store: &ResultStore) -> Result<BatchResult, CoreError> {
-    let outcomes = jobs
-        .iter()
-        .map(|job| {
-            let key = CacheKey::schedule(job.model_fp, &job.config);
-            match store.get(&key) {
-                Some(summary) => JobOutcome::Done(summary),
-                None => JobOutcome::Failed(CoreError::StageMismatch {
-                    detail: format!(
-                        "merge: no persisted summary for job `{} {}` (key {key:?}); \
-                         run every `--shard i/n` slice against this --cache-dir first",
-                        job.model, job.label
-                    ),
-                }),
-            }
-        })
-        .collect();
-    let (results, failures) = aggregate(jobs, outcomes)?;
-    Ok(BatchResult {
-        results,
-        stats: CacheStats::default(),
-        store_stats: Some(store.stats()),
-        failures,
-    })
-}
-
-/// What a [`run_batch_sharded`] call produced, by [`ShardMode`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ShardOutcome {
-    /// `ShardMode::All`: the full batch ran here (rows + counters).
-    Full(BatchResult),
-    /// `ShardMode::Slice`: this process warmed its slice of the store.
-    Slice(ShardRun),
-    /// `ShardMode::Merge`: rows replayed from the fully-warm store —
-    /// byte-identical to a `Full` run's rows.
-    Merged(BatchResult),
-}
-
-/// The single sharded entry point the sweep binaries dispatch through:
-/// runs `jobs` under `mode` (see [`ShardMode`]).
-///
-/// # Errors
-///
-/// `Slice` and `Merge` modes require a store (`--cache-dir`) — without
-/// one there is nothing to merge through, reported as a
-/// [`CoreError::StageMismatch`]. Otherwise as [`run_batch_with_store`],
-/// [`run_batch_shard`], and [`merge_batch`].
-pub fn run_batch_sharded(
-    jobs: &[SweepJob],
-    options: &RunnerOptions,
-    store: Option<&ResultStore>,
-    mode: ShardMode,
-) -> Result<ShardOutcome, CoreError> {
-    run_batch_sharded_resumable(jobs, options, store, mode, None, None)
-}
-
-/// [`run_batch_sharded`] with the full instrumentation of
-/// [`run_batch_resumable`]. `Merge` mode ignores the journal and hook —
-/// a merge only replays the store.
-///
-/// # Errors
-///
-/// As [`run_batch_sharded`].
-pub fn run_batch_sharded_resumable(
-    jobs: &[SweepJob],
-    options: &RunnerOptions,
-    store: Option<&ResultStore>,
-    mode: ShardMode,
-    journal: Option<&SweepJournal>,
-    faults: Option<&Arc<dyn FaultHook>>,
-) -> Result<ShardOutcome, CoreError> {
-    let need_store = |what: &str| {
-        store.ok_or_else(|| CoreError::StageMismatch {
-            detail: format!("--shard {what} requires --cache-dir: the store is the merge point"),
-        })
-    };
-    match mode {
-        ShardMode::All => Ok(ShardOutcome::Full(run_batch_resumable(
-            jobs, options, store, journal, faults,
-        )?)),
-        ShardMode::Slice(spec) => Ok(ShardOutcome::Slice(run_batch_shard_resumable(
-            jobs,
-            options,
-            need_store(&spec.to_string())?,
-            spec,
-            journal,
-            faults,
-        )?)),
-        ShardMode::Merge => Ok(ShardOutcome::Merged(merge_batch(jobs, need_store("merge")?)?)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::ShardSpec;
+
+    /// The plain in-memory run: no store, shard, journal, or faults.
+    fn plain(jobs: &[SweepJob]) -> Result<BatchResult, CoreError> {
+        run_batch(jobs, &RunnerOptions::sequential(), &BatchPlan::default())
+    }
+
+    /// A sequential run injecting `hook`'s faults.
+    fn with_faults(jobs: &[SweepJob], hook: &dyn FaultHook) -> BatchResult {
+        let plan = BatchPlan { faults: Some(hook), ..BatchPlan::default() };
+        run_batch(jobs, &RunnerOptions::sequential(), &plan).unwrap()
+    }
 
     #[test]
     fn job_list_covers_the_grid_in_order() {
@@ -681,7 +551,7 @@ mod tests {
     fn batch_reuses_stage_work_across_the_baseline_pair() {
         let g = cim_models::fig5_example();
         let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![], ..Default::default() }).unwrap();
-        let batch = run_batch(&jobs, &RunnerOptions::sequential()).unwrap();
+        let batch = plain(&jobs).unwrap();
         assert_eq!(batch.results.len(), 2);
         // baseline + xinf share the (model, arch, mapping) stage prefix.
         assert_eq!(batch.stats.stage_computes, 1);
@@ -695,7 +565,7 @@ mod tests {
         let g = cim_models::fig5_example();
         let mut jobs = sweep_jobs("fig5", &g, &SweepOptions::default()).unwrap();
         jobs.remove(0);
-        let err = run_batch(&jobs, &RunnerOptions::sequential()).unwrap_err();
+        let err = plain(&jobs).unwrap_err();
         assert!(matches!(err, CoreError::StageMismatch { .. }));
     }
 
@@ -709,20 +579,23 @@ mod tests {
     fn slices_plus_merge_reproduce_the_unsharded_batch() {
         let g = cim_models::fig5_example();
         let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![1], ..Default::default() }).unwrap();
-        let reference = run_batch(&jobs, &RunnerOptions::sequential()).unwrap();
+        let reference = plain(&jobs).unwrap();
+        assert_eq!(reference.owned, jobs.len());
 
         let dir = shard_tmp_dir("merge");
         let store = ResultStore::open(&dir).unwrap();
         let mut owned_total = 0;
         for i in 0..2 {
-            let spec = ShardSpec::new(i, 2).unwrap();
-            let slice = run_batch_shard(&jobs, &RunnerOptions::sequential(), &store, spec).unwrap();
-            assert_eq!(slice.total, jobs.len());
+            let shard = ShardMode::Slice(ShardSpec::new(i, 2).unwrap());
+            let plan = BatchPlan { store: Some(&store), shard, ..BatchPlan::default() };
+            let slice = run_batch(&jobs, &RunnerOptions::sequential(), &plan).unwrap();
+            assert!(slice.results.is_empty(), "a slice aggregates no rows");
             owned_total += slice.owned;
         }
         assert_eq!(owned_total, jobs.len(), "slices partition the job list exactly");
 
-        let merged = merge_batch(&jobs, &store).unwrap();
+        let plan = BatchPlan { store: Some(&store), shard: ShardMode::Merge, ..BatchPlan::default() };
+        let merged = run_batch(&jobs, &RunnerOptions::sequential(), &plan).unwrap();
         assert_eq!(merged.results, reference.results);
         // Byte-identical through serialization — the artifact contract.
         assert_eq!(
@@ -739,7 +612,8 @@ mod tests {
         let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![], ..Default::default() }).unwrap();
         let dir = shard_tmp_dir("cold");
         let store = ResultStore::open(&dir).unwrap();
-        let err = merge_batch(&jobs, &store).unwrap_err();
+        let plan = BatchPlan { store: Some(&store), shard: ShardMode::Merge, ..BatchPlan::default() };
+        let err = run_batch(&jobs, &RunnerOptions::sequential(), &plan).unwrap_err();
         let text = err.to_string();
         assert!(text.contains("fig5 layer-by-layer"), "{text}");
         assert!(text.contains("--shard"), "{text}");
@@ -750,11 +624,25 @@ mod tests {
     fn slice_and_merge_modes_require_a_store() {
         let g = cim_models::fig5_example();
         let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![], ..Default::default() }).unwrap();
-        for mode in [ShardMode::Slice(ShardSpec::new(0, 2).unwrap()), ShardMode::Merge] {
-            let err =
-                run_batch_sharded(&jobs, &RunnerOptions::sequential(), None, mode).unwrap_err();
+        for shard in [ShardMode::Slice(ShardSpec::new(0, 2).unwrap()), ShardMode::Merge] {
+            let plan = BatchPlan { shard, ..BatchPlan::default() };
+            let err = run_batch(&jobs, &RunnerOptions::sequential(), &plan).unwrap_err();
             assert!(err.to_string().contains("--cache-dir"), "{err}");
         }
+    }
+
+    #[test]
+    fn a_journal_requires_a_store() {
+        let g = cim_models::fig5_example();
+        let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![], ..Default::default() }).unwrap();
+        let dir = shard_tmp_dir("journal_only");
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = SweepJournal::open(&dir, &jobs, None, false).unwrap();
+        let plan = BatchPlan { journal: Some(&journal), ..BatchPlan::default() };
+        let err = run_batch(&jobs, &RunnerOptions::sequential(), &plan).unwrap_err();
+        assert!(err.to_string().contains("--cache-dir"), "{err}");
+        assert_eq!(journal.completed_count(), 0, "a refused plan runs no job");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -762,20 +650,19 @@ mod tests {
         use crate::runner::fault::FaultPlan;
         let g = cim_models::fig5_example();
         let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![1], ..Default::default() }).unwrap();
-        let reference = run_batch(&jobs, &RunnerOptions::sequential()).unwrap();
+        let reference = plain(&jobs).unwrap();
 
         let dir = shard_tmp_dir("zerofault");
         let store = ResultStore::open(&dir).unwrap();
         let journal = SweepJournal::open(&dir, &jobs, None, false).unwrap();
-        let inert: Arc<dyn FaultHook> = Arc::new(FaultPlan::new(7));
-        let batch = run_batch_resumable(
-            &jobs,
-            &RunnerOptions::sequential(),
-            Some(&store),
-            Some(&journal),
-            Some(&inert),
-        )
-        .unwrap();
+        let inert = FaultPlan::new(7);
+        let plan = BatchPlan {
+            store: Some(&store),
+            journal: Some(&journal),
+            faults: Some(&inert),
+            ..BatchPlan::default()
+        };
+        let batch = run_batch(&jobs, &RunnerOptions::sequential(), &plan).unwrap();
         assert!(batch.failures.is_empty());
         assert_eq!(batch.results, reference.results);
         assert_eq!(
@@ -791,11 +678,8 @@ mod tests {
         use crate::runner::fault::{FaultPlan, FaultSite};
         let g = cim_models::fig5_example();
         let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![], ..Default::default() }).unwrap();
-        let plan = Arc::new(FaultPlan::new(1).with_rate(FaultSite::JobPanic, 1000));
-        let hook: Arc<dyn FaultHook> = plan.clone();
-        let batch =
-            run_batch_resumable(&jobs, &RunnerOptions::sequential(), None, None, Some(&hook))
-                .unwrap();
+        let plan = FaultPlan::new(1).with_rate(FaultSite::JobPanic, 1000);
+        let batch = with_faults(&jobs, &plan);
         assert!(batch.results.is_empty());
         assert_eq!(batch.failures.len(), jobs.len());
         for failure in &batch.failures {
@@ -830,20 +714,14 @@ mod tests {
                     && keys.iter().all(|&k| !(0..MAX_JOB_ATTEMPTS).all(|a| fires(k, a)))
             })
             .expect("some seed yields transient-only panics");
-        let plan = Arc::new(FaultPlan::new(seed).with_rate(FaultSite::JobPanic, 500));
-        let hook: Arc<dyn FaultHook> = plan.clone();
-        let batch =
-            run_batch_resumable(&jobs, &RunnerOptions::sequential(), None, None, Some(&hook))
-                .unwrap();
+        let plan = FaultPlan::new(seed).with_rate(FaultSite::JobPanic, 500);
+        let batch = with_faults(&jobs, &plan);
         assert!(batch.failures.is_empty(), "transient panics must retry to success");
         assert_eq!(batch.results.len(), jobs.len());
         assert!(plan.fired(FaultSite::JobPanic) >= 1);
         // Same seed, fresh run ⇒ identical rows and identical fault count.
-        let plan2 = Arc::new(FaultPlan::new(seed).with_rate(FaultSite::JobPanic, 500));
-        let hook2: Arc<dyn FaultHook> = plan2.clone();
-        let batch2 =
-            run_batch_resumable(&jobs, &RunnerOptions::sequential(), None, None, Some(&hook2))
-                .unwrap();
+        let plan2 = FaultPlan::new(seed).with_rate(FaultSite::JobPanic, 500);
+        let batch2 = with_faults(&jobs, &plan2);
         assert_eq!(batch.results, batch2.results);
         assert_eq!(plan.fired(FaultSite::JobPanic), plan2.fired(FaultSite::JobPanic));
     }
@@ -870,11 +748,7 @@ mod tests {
                         .all(|&k| (0..MAX_JOB_ATTEMPTS).all(|a| !fires(k, a)))
             })
             .expect("some seed quarantines exactly the baseline");
-        let hook: Arc<dyn FaultHook> =
-            Arc::new(FaultPlan::new(seed).with_rate(FaultSite::JobPanic, 500));
-        let batch =
-            run_batch_resumable(&jobs, &RunnerOptions::sequential(), None, None, Some(&hook))
-                .unwrap();
+        let batch = with_faults(&jobs, &FaultPlan::new(seed).with_rate(FaultSite::JobPanic, 500));
         assert!(batch.results.is_empty());
         assert_eq!(batch.failures.len(), jobs.len());
         assert!(matches!(batch.failures[0].kind, JobFailureKind::Quarantined { .. }));
@@ -890,9 +764,8 @@ mod tests {
         let dir = shard_tmp_dir("resume");
         let store = ResultStore::open(&dir).unwrap();
         let journal = SweepJournal::open(&dir, &jobs, None, false).unwrap();
-        let first =
-            run_batch_resumable(&jobs, &RunnerOptions::sequential(), Some(&store), Some(&journal), None)
-                .unwrap();
+        let plan = BatchPlan { store: Some(&store), journal: Some(&journal), ..BatchPlan::default() };
+        let first = run_batch(&jobs, &RunnerOptions::sequential(), &plan).unwrap();
         drop(journal);
 
         // A second process resuming the same sweep: journal replays the
@@ -901,55 +774,13 @@ mod tests {
         let store2 = ResultStore::open(&dir).unwrap();
         let journal2 = SweepJournal::open(&dir, &jobs, None, true).unwrap();
         assert_eq!(journal2.resumed_count(), jobs.len());
-        let second = run_batch_resumable(
-            &jobs,
-            &RunnerOptions::sequential(),
-            Some(&store2),
-            Some(&journal2),
-            None,
-        )
-        .unwrap();
+        let plan = BatchPlan { store: Some(&store2), journal: Some(&journal2), ..BatchPlan::default() };
+        let second = run_batch(&jobs, &RunnerOptions::sequential(), &plan).unwrap();
         assert_eq!(second.stats.schedule_computes, 0, "fully warm resume computes nothing");
         assert_eq!(
             serde_json::to_string(&first.results).unwrap(),
             serde_json::to_string(&second.results).unwrap()
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sharded_dispatch_matches_the_direct_entry_points() {
-        let g = cim_models::fig5_example();
-        let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![], ..Default::default() }).unwrap();
-        let full = match run_batch_sharded(&jobs, &RunnerOptions::sequential(), None, ShardMode::All)
-            .unwrap()
-        {
-            ShardOutcome::Full(batch) => batch,
-            other => panic!("All mode must run the full batch, got {other:?}"),
-        };
-
-        let dir = shard_tmp_dir("dispatch");
-        let store = ResultStore::open(&dir).unwrap();
-        for i in 0..2 {
-            let mode = ShardMode::Slice(ShardSpec::new(i, 2).unwrap());
-            match run_batch_sharded(&jobs, &RunnerOptions::sequential(), Some(&store), mode).unwrap()
-            {
-                ShardOutcome::Slice(run) => assert_eq!(run.total, jobs.len()),
-                other => panic!("Slice mode must not aggregate, got {other:?}"),
-            }
-        }
-        let merged = match run_batch_sharded(
-            &jobs,
-            &RunnerOptions::sequential(),
-            Some(&store),
-            ShardMode::Merge,
-        )
-        .unwrap()
-        {
-            ShardOutcome::Merged(batch) => batch,
-            other => panic!("Merge mode must aggregate, got {other:?}"),
-        };
-        assert_eq!(merged.results, full.results);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -167,17 +167,6 @@ impl Schedule {
         &self.arena[self.space.layer_range(l)]
     }
 
-    /// Mutable view of layer `l`'s windows (for tooling that post-edits
-    /// schedules; the validator catches inconsistent edits).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l` is out of range.
-    pub fn layer_mut(&mut self, l: usize) -> &mut [SetTime] {
-        let r = self.space.layer_range(l);
-        &mut self.arena[r]
-    }
-
     /// The window of set `s` of layer `l`.
     ///
     /// # Panics

@@ -83,13 +83,6 @@ impl Rewriter {
         self.out.validate()?;
         Ok(self.out)
     }
-
-    /// Finishes without validation (for passes that intentionally produce
-    /// graphs violating secondary invariants, none currently).
-    #[allow(dead_code)]
-    pub fn finish_unchecked(self) -> Graph {
-        self.out
-    }
 }
 
 /// Ensures `g` is non-empty and internally consistent before a pass runs.

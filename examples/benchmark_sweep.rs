@@ -7,7 +7,7 @@
 //! set the worker count — results are identical for every N; pass
 //! `--cache-dir <path>` to persist sweep summaries across runs)
 
-use clsa_cim::bench::runner::{run_batch_with_store, sweep_jobs_for_models, ResultStore};
+use clsa_cim::bench::runner::{run_batch, sweep_jobs_for_models, BatchPlan, ResultStore};
 use clsa_cim::bench::{parse_cache_dir_arg, parse_jobs_arg, SweepOptions};
 use clsa_cim::ir::Graph;
 
@@ -35,7 +35,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One flat job list over all models; the engine canonicalizes each
     // graph once, shares Stage-I/II work between the baseline and xinf
-    // rows of a model, and spreads the jobs over the worker lanes.
+    // rows of a model, and spreads the jobs over the worker lanes. The
+    // plan adds only the optional store; it could also name a shard
+    // slice or merge, a resume journal, or a fault hook.
     let opts = SweepOptions::default();
     let jobs = sweep_jobs_for_models(&models, &opts)?;
     eprintln!(
@@ -43,7 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         jobs.len(),
         runner.jobs
     );
-    let batch = run_batch_with_store(&jobs, &runner, store.as_ref())?;
+    let plan = BatchPlan { store: store.as_ref(), ..BatchPlan::default() };
+    let batch = run_batch(&jobs, &runner, &plan)?;
 
     for (name, _) in &models {
         let rows: Vec<_> = batch.results.iter().filter(|r| &r.model == name).collect();

@@ -12,13 +12,12 @@
 use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
-use std::sync::Arc;
 use std::time::Duration;
 
 use cim_bench::artifacts::{case_study_graph, fig6c_jobs};
 use cim_bench::runner::{
-    run_batch_resumable, sweep_fingerprint, FaultHook, FaultPlan, FaultSite, ResultStore,
-    RunnerOptions, SweepJournal,
+    run_batch, sweep_fingerprint, BatchPlan, FaultPlan, FaultSite, ResultStore, RunnerOptions,
+    SweepJournal,
 };
 
 const STORE_ENV: &str = "CIM_CHAOS_IT_STORE";
@@ -45,19 +44,16 @@ fn child_chaos_sweep() {
         SweepJournal::open(store.dir(), &jobs, None, false).expect("journal opens fresh");
     // Every job sleeps a second before computing, so the parent's kill
     // reliably lands between the first mark and the last.
-    let slow: Arc<dyn FaultHook> = Arc::new(
-        FaultPlan::new(2024)
-            .with_rate(FaultSite::JobDelay, 1000)
-            .with_delay(Duration::from_millis(1000)),
-    );
-    let batch = run_batch_resumable(
-        &jobs,
-        &RunnerOptions::sequential(),
-        Some(&store),
-        Some(&journal),
-        Some(&slow),
-    )
-    .expect("sweep runs");
+    let slow = FaultPlan::new(2024)
+        .with_rate(FaultSite::JobDelay, 1000)
+        .with_delay(Duration::from_millis(1000));
+    let plan = BatchPlan {
+        store: Some(&store),
+        journal: Some(&journal),
+        faults: Some(&slow),
+        ..BatchPlan::default()
+    };
+    let batch = run_batch(&jobs, &RunnerOptions::sequential(), &plan).expect("sweep runs");
     assert!(batch.failures.is_empty());
     journal.finish();
 }
@@ -108,14 +104,12 @@ fn sigkill_mid_sweep_then_resume_reproduces_the_golden_artifact() {
     );
 
     // Resume: completed jobs replay from the store, the rest compute.
-    let resumed = run_batch_resumable(
-        &jobs,
-        &RunnerOptions::sequential(),
-        Some(&store),
-        Some(&journal),
-        None,
-    )
-    .expect("resumed sweep runs");
+    let plan = BatchPlan {
+        store: Some(&store),
+        journal: Some(&journal),
+        ..BatchPlan::default()
+    };
+    let resumed = run_batch(&jobs, &RunnerOptions::sequential(), &plan).expect("resumed sweep runs");
     assert!(resumed.failures.is_empty());
     let store_stats = resumed.store_stats.expect("store-backed run has stats");
     assert!(

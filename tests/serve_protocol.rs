@@ -224,3 +224,44 @@ fn daemon_answers_typed_errors_and_ping_over_the_wire() {
     assert!(status.success(), "daemon process failed: {status:?}");
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// The `--tcp` transport speaks the same protocol as the Unix socket:
+/// one `schedule` request answered over TCP is byte-identical to the
+/// same request answered over the Unix socket. Request ids are unique
+/// per daemon, so each transport gets its own fresh in-process daemon.
+#[test]
+fn tcp_reply_matches_the_unix_socket_reply() {
+    let dir = tmp_dir("tcp");
+    let line = serde_json::to_string(&Request::schedule("t1", "fig5", "wdup+xinf", 1))
+        .expect("request serializes");
+    // Asks `line`, then shuts the daemon down over the same connection.
+    let ask = |mut client: Client| {
+        let reply = client.request_line(&line).expect("schedule answered");
+        let ack = client
+            .request(&Request::bare("bye", Op::Shutdown))
+            .expect("shutdown answered");
+        assert!(matches!(ack.body, ResponseBody::Shutdown), "got {ack:?}");
+        reply
+    };
+
+    let socket = dir.join("unix.sock");
+    let daemon = Daemon::bind(DaemonOptions::at(&socket)).expect("unix daemon binds");
+    let server = std::thread::spawn(move || daemon.run());
+    let via_unix = ask(connect(&socket));
+    server.join().expect("daemon thread").expect("daemon runs to shutdown");
+
+    let daemon = Daemon::bind(DaemonOptions {
+        tcp: Some("127.0.0.1:0".into()),
+        ..DaemonOptions::at(dir.join("tcp.sock"))
+    })
+    .expect("tcp daemon binds");
+    let addr = daemon.tcp_addr().expect("tcp listener bound");
+    let server = std::thread::spawn(move || daemon.run());
+    let via_tcp = ask(Client::connect_tcp(addr).expect("tcp connects"));
+    server.join().expect("daemon thread").expect("daemon runs to shutdown");
+
+    let reply: Response = serde_json::from_str(&via_tcp).expect("reply parses");
+    assert!(reply.as_error().is_none(), "schedule failed: {via_tcp}");
+    assert_eq!(via_tcp, via_unix, "the transport must not change the reply bytes");
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -10,12 +10,21 @@ use std::path::PathBuf;
 
 use cim_bench::artifacts::{case_study_graph, fig6c_jobs};
 use cim_bench::runner::{
-    merge_batch, run_batch_shard, run_batch_sharded, run_batch_with_store, ResultStore,
-    RunnerOptions, ShardMode, ShardOutcome, ShardSpec,
+    run_batch, BatchPlan, BatchResult, ResultStore, RunnerOptions, ShardMode, ShardSpec,
 };
 use cim_bench::tune::{autotune, autotune_shard};
 use cim_frontend::{canonicalize, CanonOptions};
 use cim_tune::{Budget, DesignSpace, GridSearch, TuneOptions};
+
+/// Runs `jobs` in `shard` mode against `store`.
+fn sharded(
+    jobs: &[cim_bench::runner::SweepJob],
+    runner: &RunnerOptions,
+    store: &ResultStore,
+    shard: ShardMode,
+) -> Result<BatchResult, clsa_core::CoreError> {
+    run_batch(jobs, runner, &BatchPlan { store: Some(store), shard, ..BatchPlan::default() })
+}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cim_shard_it_{tag}_{}", std::process::id()));
@@ -28,28 +37,30 @@ fn two_slices_plus_merge_reproduce_the_unsharded_fig6c_artifact() {
     let g = case_study_graph();
     let jobs = fig6c_jobs(&g).expect("sweep jobs build");
     let runner = RunnerOptions::with_jobs(4);
-    let reference = run_batch_with_store(&jobs, &runner, None).expect("unsharded sweep");
+    let reference = run_batch(&jobs, &runner, &BatchPlan::default()).expect("unsharded sweep");
 
     // Two worker processes in spirit: each owns a fingerprint-range
     // slice, both persist into the same store.
     let dir = tmp_dir("fig6c");
     let store = ResultStore::open(&dir).expect("store opens");
-    let s0 = run_batch_shard(&jobs, &runner, &store, ShardSpec::new(0, 2).unwrap())
-        .expect("slice 0 runs");
-    let s1 = run_batch_shard(&jobs, &runner, &store, ShardSpec::new(1, 2).unwrap())
-        .expect("slice 1 runs");
+    let slice = |i| ShardMode::Slice(ShardSpec::new(i, 2).unwrap());
+    let s0 = sharded(&jobs, &runner, &store, slice(0)).expect("slice 0 runs");
+    let s1 = sharded(&jobs, &runner, &store, slice(1)).expect("slice 1 runs");
     assert_eq!(
         s0.owned + s1.owned,
         jobs.len(),
         "the slices partition the job list exactly"
     );
-    assert_eq!((s0.total, s1.total), (jobs.len(), jobs.len()));
+    assert!(
+        s0.results.is_empty() && s1.results.is_empty(),
+        "a slice aggregates no rows"
+    );
     assert_eq!(store.len(), jobs.len(), "every job persisted exactly once");
 
     // The merge replays the fully-warm store — a fresh handle, as the
     // merge would run in its own process.
     let store = ResultStore::open(&dir).expect("store reopens");
-    let merged = merge_batch(&jobs, &store).expect("merge replays");
+    let merged = sharded(&jobs, &runner, &store, ShardMode::Merge).expect("merge replays");
     assert_eq!(
         store.stats().hits,
         jobs.len() as u64,
@@ -69,12 +80,6 @@ fn two_slices_plus_merge_reproduce_the_unsharded_fig6c_artifact() {
         "sharded merge drifted from tests/golden/fig6c.json"
     );
 
-    // The dispatching entry point agrees with the piecewise calls.
-    let via_mode = match run_batch_sharded(&jobs, &runner, Some(&store), ShardMode::Merge) {
-        Ok(ShardOutcome::Merged(batch)) => batch,
-        other => panic!("expected a merged batch, got {other:?}"),
-    };
-    assert_eq!(via_mode.results, reference.results);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -84,7 +89,8 @@ fn merge_against_a_cold_store_names_the_missing_slice() {
     let jobs = fig6c_jobs(&g).expect("sweep jobs build");
     let dir = tmp_dir("coldmerge");
     let store = ResultStore::open(&dir).expect("store opens");
-    let err = merge_batch(&jobs, &store).expect_err("nothing persisted yet");
+    let err = sharded(&jobs, &RunnerOptions::sequential(), &store, ShardMode::Merge)
+        .expect_err("nothing persisted yet");
     let detail = err.to_string();
     assert!(
         detail.contains("run every `--shard i/n` slice"),
@@ -102,8 +108,8 @@ fn shard_modes_without_a_store_are_typed_errors() {
         ShardMode::Slice(ShardSpec::new(0, 2).unwrap()),
         ShardMode::Merge,
     ] {
-        let err = run_batch_sharded(&jobs, &runner, None, mode)
-            .expect_err("the store is the merge point");
+        let plan = BatchPlan { shard: mode, ..BatchPlan::default() };
+        let err = run_batch(&jobs, &runner, &plan).expect_err("the store is the merge point");
         assert!(
             err.to_string().contains("--cache-dir"),
             "error names the missing flag: {err}"

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use cim_bench::runner::{
-    run_batch_with_store, sweep_jobs, CacheKey, ResultStore, RunSummary, RunnerOptions,
+    run_batch, sweep_jobs, BatchPlan, CacheKey, ResultStore, RunSummary, RunnerOptions,
     STORE_FORMAT_VERSION,
 };
 use cim_bench::SweepOptions;
@@ -16,6 +16,11 @@ fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cim_store_it_{tag}_{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     dir
+}
+
+/// A plan that only adds `store` to the plain in-memory run.
+fn stored(store: Option<&ResultStore>) -> BatchPlan<'_> {
+    BatchPlan { store, ..BatchPlan::default() }
 }
 
 fn fig5_jobs() -> Vec<cim_bench::runner::SweepJob> {
@@ -30,10 +35,10 @@ fn fig5_jobs() -> Vec<cim_bench::runner::SweepJob> {
 fn cold_warm_and_unstored_runs_are_byte_identical() {
     let dir = tmp_dir("rerun");
     let jobs = fig5_jobs();
-    let unstored = run_batch_with_store(&jobs, &RunnerOptions::sequential(), None).unwrap();
+    let unstored = run_batch(&jobs, &RunnerOptions::sequential(), &stored(None)).unwrap();
 
     let store = ResultStore::open(&dir).unwrap();
-    let cold = run_batch_with_store(&jobs, &RunnerOptions::sequential(), Some(&store)).unwrap();
+    let cold = run_batch(&jobs, &RunnerOptions::sequential(), &stored(Some(&store))).unwrap();
     let cold_stats = store.stats();
     assert_eq!(cold_stats.hits, 0);
     assert_eq!(cold_stats.writes, jobs.len() as u64, "every job persisted");
@@ -41,7 +46,7 @@ fn cold_warm_and_unstored_runs_are_byte_identical() {
     // Fresh handle — the next process. Everything replays from disk: the
     // in-memory schedule cache is never even consulted.
     let store = ResultStore::open(&dir).unwrap();
-    let warm = run_batch_with_store(&jobs, &RunnerOptions::with_jobs(4), Some(&store)).unwrap();
+    let warm = run_batch(&jobs, &RunnerOptions::with_jobs(4), &stored(Some(&store))).unwrap();
     let warm_stats = store.stats();
     assert_eq!(warm_stats.hits, jobs.len() as u64, "warm run is all hits");
     assert_eq!(warm.stats.schedule_lookups, 0, "no in-memory computation");
@@ -61,7 +66,7 @@ fn truncated_rows_are_evicted_and_recomputed() {
     let jobs = fig5_jobs();
     let store = ResultStore::open(&dir).unwrap();
     let reference =
-        run_batch_with_store(&jobs, &RunnerOptions::sequential(), Some(&store)).unwrap();
+        run_batch(&jobs, &RunnerOptions::sequential(), &stored(Some(&store))).unwrap();
 
     // Truncate every persisted row mid-document.
     for dirent in fs::read_dir(&dir).unwrap() {
@@ -74,7 +79,7 @@ fn truncated_rows_are_evicted_and_recomputed() {
 
     let store = ResultStore::open(&dir).unwrap();
     let recovered =
-        run_batch_with_store(&jobs, &RunnerOptions::sequential(), Some(&store)).unwrap();
+        run_batch(&jobs, &RunnerOptions::sequential(), &stored(Some(&store))).unwrap();
     let stats = store.stats();
     assert_eq!(recovered.results, reference.results, "recompute, never trust");
     assert_eq!(stats.hits, 0, "no truncated row served");
@@ -83,7 +88,7 @@ fn truncated_rows_are_evicted_and_recomputed() {
 
     // Third run: healed — full hits again.
     let store = ResultStore::open(&dir).unwrap();
-    let healed = run_batch_with_store(&jobs, &RunnerOptions::sequential(), Some(&store)).unwrap();
+    let healed = run_batch(&jobs, &RunnerOptions::sequential(), &stored(Some(&store))).unwrap();
     assert_eq!(healed.results, reference.results);
     assert_eq!(store.stats().hits as usize, jobs.len());
     let _ = fs::remove_dir_all(&dir);
@@ -95,7 +100,7 @@ fn version_mismatched_rows_are_evicted_and_recomputed() {
     let jobs = fig5_jobs();
     let store = ResultStore::open(&dir).unwrap();
     let reference =
-        run_batch_with_store(&jobs, &RunnerOptions::sequential(), Some(&store)).unwrap();
+        run_batch(&jobs, &RunnerOptions::sequential(), &stored(Some(&store))).unwrap();
 
     // Stamp one row as written by a future format version.
     let victim = fs::read_dir(&dir)
@@ -112,7 +117,7 @@ fn version_mismatched_rows_are_evicted_and_recomputed() {
 
     let store = ResultStore::open(&dir).unwrap();
     let recovered =
-        run_batch_with_store(&jobs, &RunnerOptions::sequential(), Some(&store)).unwrap();
+        run_batch(&jobs, &RunnerOptions::sequential(), &stored(Some(&store))).unwrap();
     let stats = store.stats();
     assert_eq!(recovered.results, reference.results);
     assert_eq!(stats.evictions, 1, "exactly the stamped row evicted");
