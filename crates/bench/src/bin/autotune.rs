@@ -14,6 +14,9 @@
 //!     [--fault-seed S --fault-rate site=per_mille ... --fault-delay-ms MS]
 //! ```
 //!
+//! `--help` lists the flags; any other argument, and an unknown
+//! `--model`, `--space` or `--strategy`, exits 2.
+//!
 //! With `--shard i/n --cache-dir D`, the process evaluates only the
 //! candidates of the design space its fingerprint-range slice owns and
 //! persists their summaries into the shared store `D`; once every slice
@@ -38,38 +41,42 @@
 
 use std::time::Duration;
 
+use cim_bench::cli::{self, Flag};
+use cim_bench::render_table;
 use cim_bench::runner::ShardMode;
 use cim_bench::tune::{autotune, autotune_shard, AutotuneReport, ParetoRow};
-use cim_bench::{parse_common_args, render_table, CommonArgs};
 use cim_frontend::{canonicalize, CanonOptions};
 use cim_ir::Graph;
 use cim_tune::{strategy_by_name, Budget, DesignSpace, TuneOptions};
+
+const FLAGS: &[Flag] = &[
+    Flag::value("--model", "name", "zoo model or fig5 (default TinyYOLOv4)"),
+    Flag::value("--space", "tiny|case-study|wide", "default case-study"),
+    Flag::value("--strategy", "grid|random|anneal", "default anneal"),
+    Flag::value("--budget", "N", "stop after N candidates"),
+    Flag::value("--wall-secs", "S", "stop after S seconds"),
+    Flag::value("--batch", "N", "candidates evaluated per round"),
+    cli::SEED,
+    cli::JOBS,
+    cli::CACHE_DIR,
+    cli::JSON,
+    cli::SHARD,
+    cli::RESUME,
+    cli::FAULT_SEED,
+    cli::FAULT_RATE,
+    cli::FAULT_DELAY_MS,
+];
 
 /// Resolves `--model`: any zoo registry entry (Table II + the case
 /// study) or the paper's Fig. 5 worked example. The graph comes back
 /// canonicalized, ready for the evaluator.
 fn model_graph(name: &str) -> Option<Graph> {
-    let raw = if name == "fig5" {
-        cim_models::fig5_example()
-    } else {
-        cim_models::all_models()
-            .into_iter()
-            .find(|info| info.name == name)?
-            .build()
-    };
+    let raw = cim_models::graph_by_name(name)?;
     Some(
         canonicalize(&raw, &CanonOptions::default())
             .expect("registry models canonicalize")
             .into_graph(),
     )
-}
-
-/// Binary-specific flag: `--flag <value>` out of the leftover args.
-fn flag_value<'a>(rest: &'a [String], flag: &str) -> Option<&'a str> {
-    rest.iter()
-        .position(|a| a == flag)
-        .and_then(|i| rest.get(i + 1))
-        .map(String::as_str)
 }
 
 fn print_front(rows: &[ParetoRow]) {
@@ -103,26 +110,29 @@ fn print_front(rows: &[ParetoRow]) {
 }
 
 fn main() {
-    let args: CommonArgs = parse_common_args();
-    let model = flag_value(&args.rest, "--model").unwrap_or("TinyYOLOv4");
-    let space_name = flag_value(&args.rest, "--space").unwrap_or("case-study");
-    let strategy_name = flag_value(&args.rest, "--strategy").unwrap_or("anneal");
-    let budget_candidates: Option<usize> = flag_value(&args.rest, "--budget")
-        .map(|v| v.parse().expect("--budget takes a positive integer"));
-    let wall_secs: Option<u64> = flag_value(&args.rest, "--wall-secs")
-        .map(|v| v.parse().expect("--wall-secs takes a positive integer"));
-    let batch: usize = flag_value(&args.rest, "--batch")
-        .map_or_else(|| TuneOptions::default().batch, |v| {
-            v.parse().expect("--batch takes a positive integer")
-        });
+    let flags = cli::parse_env(FLAGS);
+    let args = flags.common();
+    let model = flags.value("--model").unwrap_or("TinyYOLOv4");
+    let space_name = flags.value("--space").unwrap_or("case-study");
+    let strategy_name = flags.value("--strategy").unwrap_or("anneal");
+    let budget_candidates: Option<usize> = flags.check(flags.get("--budget"));
+    let wall_secs: Option<u64> = flags.check(flags.get("--wall-secs"));
+    let batch: usize = flags
+        .check(flags.get("--batch"))
+        .unwrap_or(TuneOptions::default().batch);
     let seed = args.seed_or_default();
 
     let graph = model_graph(model)
-        .unwrap_or_else(|| panic!("unknown --model {model}; zoo entries or `fig5`"));
+        .unwrap_or_else(|| flags.reject("--model", model, "expected zoo entry or fig5"));
     let space = DesignSpace::preset(space_name)
-        .unwrap_or_else(|| panic!("unknown --space {space_name}; tiny|case-study|wide"));
-    let mut strategy = strategy_by_name(strategy_name, seed)
-        .unwrap_or_else(|| panic!("unknown --strategy {strategy_name}; grid|random|anneal"));
+        .unwrap_or_else(|| flags.reject("--space", space_name, "expected tiny|case-study|wide"));
+    let mut strategy = strategy_by_name(strategy_name, seed).unwrap_or_else(|| {
+        flags.reject("--strategy", strategy_name, "expected grid|random|anneal")
+    });
+    if args.shard != ShardMode::All && args.cache_dir.is_none() {
+        let shard = flags.value("--shard").unwrap_or_default();
+        flags.reject("--shard", shard, "needs --cache-dir, the merge point");
+    }
     let mut budget = Budget {
         max_candidates: budget_candidates,
         max_wall: wall_secs.map(Duration::from_secs),
@@ -161,9 +171,7 @@ fn main() {
     match args.shard {
         ShardMode::All => {}
         ShardMode::Slice(shard) => {
-            let store = store.as_ref().unwrap_or_else(|| {
-                panic!("--shard {shard} requires --cache-dir: the store is the merge point")
-            });
+            let store = store.as_ref().expect("--shard needs --cache-dir");
             // A slice warms its owned subset of the *whole* space; the
             // strategy/budget only shape the final merge run.
             let report = autotune_shard(&graph, &space, shard, &runner, store).expect("slice runs");
@@ -175,15 +183,11 @@ fn main() {
             }
             return;
         }
-        ShardMode::Merge => {
-            // The merge is a plain strategy run against the warm store —
-            // byte-identical to unsharded by tuner determinism — but a
-            // missing store would silently recompute everything.
-            assert!(
-                store.is_some(),
-                "--shard merge requires --cache-dir: the store is the merge point"
-            );
-        }
+        // The merge is a plain strategy run against the warm store —
+        // byte-identical to unsharded by tuner determinism; a merge
+        // without a store, which would silently recompute everything,
+        // was refused above.
+        ShardMode::Merge => {}
     }
     let (result, rows) = autotune(
         &graph,

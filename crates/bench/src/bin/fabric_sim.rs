@@ -8,7 +8,8 @@
 //!     [--tenants model:streams,model:streams] [--stagger N] [--seed S] \
 //!     [--policy shared|partitioned] [--bandwidth B] [--capacity-pes C] \
 //!     [--reload R] [--extra-pes E] [--jobs N] [--json <path>] \
-//!     [--bench] [--mix-sweep [--cache-dir <path>]]
+//!     [--bench] [--mix-sweep [--cache-dir <path>]] \
+//!     [--fault-seed S --fault-rate site=per_mille ... --fault-delay-ms MS]
 //! ```
 //!
 //! Default mode runs the given mix once and prints per-tenant slowdown
@@ -20,61 +21,50 @@
 //! aggregate utilization ↑, evictions ↓); with `--cache-dir`, the
 //! single-tenant reference summaries warm the persistent result store.
 //!
+//! `--help` lists the flags; any other argument, an unknown tenant model
+//! and an unknown `--policy` exit 2.
+//!
 //! Every mode is deterministic: byte-identical exports for any `--jobs`
 //! value and any tenant insertion order at a fixed `--seed`.
 
+use cim_bench::cli::{self, Flag};
 use cim_bench::runner::{fingerprint, parallel_map, CacheKey, ScheduleCache};
-use cim_bench::{parse_common_args, render_table, write_json, CommonArgs};
+use cim_bench::{render_table, write_json, CommonArgs};
 use cim_fabric::{
     arch_for_mix, parse_tenant_list, run_mix, CoResidency, FabricConfig, FabricResult, FabricSpec,
     TenantInstance, TenantSpec,
 };
 use cim_frontend::{canonicalize, CanonOptions};
-use cim_ir::Graph;
+use cim_models::graph_by_name;
 use cim_tune::{mix_measurement, MixSpace, ParetoArchive};
 use clsa_core::RunConfig;
 use serde::Serialize;
 
-/// Resolves a tenant model name: the paper's Fig. 5 worked example or
-/// any zoo registry entry. Returns the **raw** graph —
-/// [`TenantInstance::prepare`] canonicalizes.
-fn model_graph(name: &str) -> Option<Graph> {
-    if name == "fig5" {
-        return Some(cim_models::fig5_example());
-    }
-    cim_models::all_models()
-        .into_iter()
-        .find(|info| info.name == name)
-        .map(|info| info.build())
-}
-
-/// Binary-specific flag: `--flag <value>` out of the leftover args.
-fn flag_value<'a>(rest: &'a [String], flag: &str) -> Option<&'a str> {
-    rest.iter()
-        .position(|a| a == flag)
-        .and_then(|i| rest.get(i + 1))
-        .map(String::as_str)
-}
-
-/// Binary-specific presence flag (no value).
-fn has_flag(rest: &[String], flag: &str) -> bool {
-    rest.iter().any(|a| a == flag)
-}
-
-fn parse_u64(rest: &[String], flag: &str, default: u64) -> u64 {
-    flag_value(rest, flag).map_or(default, |v| {
-        v.parse()
-            .unwrap_or_else(|_| panic!("{flag} takes an unsigned integer, got {v:?}"))
-    })
-}
+const FLAGS: &[Flag] = &[
+    Flag::value("--tenants", "model:streams,...", "default fig5:2"),
+    Flag::value("--stagger", "N", "cycles between arrivals (default 0)"),
+    cli::SEED,
+    Flag::value("--policy", "shared|partitioned", "default shared"),
+    Flag::value("--bandwidth", "B", "link bytes per cycle (default 0: inf)"),
+    Flag::value("--capacity-pes", "C", "resident PEs (default 0: inf)"),
+    Flag::value("--reload", "R", "reload cycles per PE (default 50)"),
+    Flag::value("--extra-pes", "E", "PEs beyond the mix's minimum"),
+    cli::JOBS,
+    cli::JSON,
+    Flag::switch("--bench", "scale one model to 4 streams"),
+    Flag::switch("--mix-sweep", "Pareto front over tenant-mix knobs"),
+    cli::CACHE_DIR,
+    cli::FAULT_SEED,
+    cli::FAULT_RATE,
+    cli::FAULT_DELAY_MS,
+];
 
 /// Prepares the instances of a tenant list, fanning prepared models out
 /// into their streams.
 fn instances_of(specs: &[TenantSpec]) -> Vec<TenantInstance> {
     let mut instances = Vec::new();
     for spec in specs {
-        let graph = model_graph(&spec.model)
-            .unwrap_or_else(|| panic!("unknown model {:?} (try fig5, TinyYOLOv4, VGG16)", spec.model));
+        let graph = graph_by_name(&spec.model).expect("tenant models are checked in main");
         let base = TenantInstance::prepare(&spec.model, &graph)
             .unwrap_or_else(|e| panic!("preparing {}: {e}", spec.model));
         instances.extend(base.streams_of(spec));
@@ -253,7 +243,7 @@ fn mix_sweep_mode(args: &CommonArgs, instances: &[TenantInstance], config: &Fabr
         models.sort_unstable();
         models.dedup();
         for model in models {
-            let graph = model_graph(model).unwrap_or_else(|| panic!("unknown model {model:?}"));
+            let graph = graph_by_name(model).unwrap_or_else(|| panic!("unknown model {model:?}"));
             let graph = canonicalize(&graph, &CanonOptions::default())
                 .expect("registry models canonicalize")
                 .into_graph();
@@ -328,20 +318,29 @@ fn mix_sweep_mode(args: &CommonArgs, instances: &[TenantInstance], config: &Fabr
 }
 
 fn main() {
-    let args = parse_common_args();
-    args.report_faults();
-    let tenants = flag_value(&args.rest, "--tenants").unwrap_or("fig5:2");
-    let specs = parse_tenant_list(tenants).unwrap_or_else(|e| panic!("--tenants {tenants}: {e}"));
-    let policy = flag_value(&args.rest, "--policy").map_or(CoResidency::Shared, |v| {
+    let flags = cli::parse_env(FLAGS);
+    let args = flags.common();
+    let list = flags.value("--tenants").unwrap_or("fig5:2");
+    let specs =
+        parse_tenant_list(list).unwrap_or_else(|e| flags.reject("--tenants", list, e.to_string()));
+    if let Some(spec) = specs.iter().find(|s| graph_by_name(&s.model).is_none()) {
+        let unknown = format!("unknown model {:?} (try fig5, TinyYOLOv4)", spec.model);
+        flags.reject("--tenants", list, unknown);
+    }
+    let policy = flags.value("--policy").map_or(CoResidency::Shared, |v| {
         CoResidency::parse(v)
-            .unwrap_or_else(|| panic!("--policy takes shared|partitioned, got {v:?}"))
+            .unwrap_or_else(|| flags.reject("--policy", v, "expected shared|partitioned"))
     });
+    let u64_flag = |flag, default| flags.check(flags.get(flag)).unwrap_or(default);
     let fabric = FabricSpec {
-        link_bandwidth_bytes_per_cycle: parse_u64(&args.rest, "--bandwidth", 0),
-        capacity_pes: parse_u64(&args.rest, "--capacity-pes", 0) as usize,
-        reload_cycles_per_pe: parse_u64(&args.rest, "--reload", 50),
+        link_bandwidth_bytes_per_cycle: u64_flag("--bandwidth", 0),
+        capacity_pes: u64_flag("--capacity-pes", 0) as usize,
+        reload_cycles_per_pe: u64_flag("--reload", 50),
     };
-    let extra_pes = parse_u64(&args.rest, "--extra-pes", 0) as usize;
+    let extra_pes = u64_flag("--extra-pes", 0) as usize;
+    let stagger = u64_flag("--stagger", 0);
+    let (bench, mix_sweep) = (flags.switch("--bench"), flags.switch("--mix-sweep"));
+    args.report_faults();
     let seed = args.seed_or_default();
     println!("seed: {seed}");
 
@@ -351,22 +350,23 @@ fn main() {
         arch,
         policy,
         fabric,
-        stagger: parse_u64(&args.rest, "--stagger", 0),
+        stagger,
         seed,
         jobs: args.runner.jobs,
     };
 
-    if has_flag(&args.rest, "--bench") {
-        args.note_cache_dir_unused();
+    if mix_sweep && !bench {
+        mix_sweep_mode(&args, &instances, &config);
+        return;
+    }
+    if let Some(dir) = &args.cache_dir {
+        eprintln!("note: --cache-dir {dir} ignored — only --mix-sweep persists results");
+    }
+    if bench {
         let model = specs.first().map(|s| s.model.clone()).unwrap_or_default();
         bench_mode(&model, &config, seed, args.json.as_deref());
         return;
     }
-    if has_flag(&args.rest, "--mix-sweep") {
-        mix_sweep_mode(&args, &instances, &config);
-        return;
-    }
-    args.note_cache_dir_unused();
 
     let result = run_mix(&instances, &config).unwrap_or_else(|e| panic!("mix runs: {e}"));
     print_result(&result);

@@ -9,6 +9,7 @@
 //!   Ut = 28.4 %, speedup up to 21.9×).
 //!
 //! Usage: `cargo run --release -p cim-bench --bin fig6 [-- --part a|b|c] [--json <path>] [--jobs N] [--cache-dir <path>] [--shard i/n|merge] [--resume] [--fault-seed S --fault-rate site=per_mille ... --fault-delay-ms MS]`
+//! (`--help` lists the flags; any other argument exits 2)
 //!
 //! With `--cache-dir`, part c also keeps a crash-safe sweep journal: a
 //! run killed mid-sweep (SIGKILL included) resumes with `--resume`,
@@ -28,11 +29,24 @@
 
 use cim_arch::Architecture;
 use cim_bench::artifacts::{case_study_graph, fig6c_jobs};
+use cim_bench::cli::{self, Flag};
 use cim_bench::runner::{fingerprint, ResultStore, ScheduleCache, ShardMode};
-use cim_bench::{parse_common_args, render_table, CommonArgs};
+use cim_bench::{render_table, CommonArgs};
 use cim_ir::Graph;
 use cim_mapping::Solver;
 use clsa_core::{gantt_text, RunConfig};
+
+const FLAGS: &[Flag] = &[
+    Flag::value("--part", "a|b|c", "run one part only (default: all three)"),
+    cli::JSON,
+    cli::JOBS,
+    cli::CACHE_DIR,
+    cli::SHARD,
+    cli::RESUME,
+    cli::FAULT_SEED,
+    cli::FAULT_RATE,
+    cli::FAULT_DELAY_MS,
+];
 
 /// Parts a and b schedule the *same* `wdup+16` mapping two ways; routing
 /// both through one cache runs the mapping and Stage-I/II analyses once.
@@ -144,24 +158,20 @@ fn part_c(g: &Graph, args: &CommonArgs, store: Option<&ResultStore>) -> usize {
 }
 
 fn main() {
-    let args = parse_common_args();
-    // Nothing below consumes randomness; surface a stray --seed.
-    args.note_seed_unused();
-    let part = args
-        .rest
-        .iter()
-        .position(|a| a == "--part")
-        .and_then(|i| args.rest.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("all");
+    let flags = cli::parse_env(FLAGS);
+    let args = flags.common();
+    let part = match flags.value("--part") {
+        None => "all",
+        Some(p @ ("a" | "b" | "c")) => p,
+        Some(p) => flags.reject("--part", p, "expected a, b or c"),
+    };
 
     // Only part c runs a batch sweep; a/b alone must not create (or
     // silently ignore) a --cache-dir.
     match part {
         "a" | "b" => {
-            args.note_cache_dir_unused();
-            if args.shard != ShardMode::All {
-                eprintln!("note: --shard ignored — parts a/b run no batch sweep");
+            if args.cache_dir.is_some() || args.shard != ShardMode::All {
+                eprintln!("note: --cache-dir/--shard ignored — parts a/b run no batch sweep");
             }
             let cs = CaseStudy::new();
             if part == "a" {

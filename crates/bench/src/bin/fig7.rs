@@ -8,7 +8,8 @@
 //! large models; `xinf` up to 4.4× for large models; utilization decreasing
 //! with ResNet depth.
 //!
-//! Usage: `cargo run --release -p cim-bench --bin fig7 [-- --json results/fig7.json] [--jobs N] [--cache-dir <path>] [--shard i/n|merge] [--resume] [--fault-seed S --fault-rate site=per_mille ...]`
+//! Usage: `cargo run --release -p cim-bench --bin fig7 [-- --json results/fig7.json] [--jobs N] [--cache-dir <path>] [--shard i/n|merge] [--resume] [--fault-seed S --fault-rate site=per_mille ... --fault-delay-ms MS]`
+//! (`--help` lists the flags; any other argument exits 2)
 //!
 //! With `--cache-dir`, the sweep's summaries persist across runs: a warm
 //! re-run replays from disk (byte-identical `--json` output), and a
@@ -20,12 +21,20 @@
 //! and `--json` artifact.
 
 use cim_bench::runner::sweep_jobs_for_models;
-use cim_bench::{parse_common_args, render_table, ConfigResult, SweepOptions};
+use cim_bench::{cli, render_table, ConfigResult, SweepOptions};
 
 fn main() {
-    let args = parse_common_args();
-    // Nothing below consumes randomness; surface a stray --seed.
-    args.note_seed_unused();
+    let args = cli::parse_env(&[
+        cli::JSON,
+        cli::JOBS,
+        cli::CACHE_DIR,
+        cli::SHARD,
+        cli::RESUME,
+        cli::FAULT_SEED,
+        cli::FAULT_RATE,
+        cli::FAULT_DELAY_MS,
+    ])
+    .common();
     let (runner, json) = (args.runner, args.json.clone());
     let store = args.open_store();
     let opts = SweepOptions::default();

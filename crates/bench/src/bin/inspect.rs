@@ -2,24 +2,13 @@
 //! and print the cost table, schedule summary, Gantt chart, and critical
 //! path — the "debugger" view of the scheduling stack.
 //!
-//! Usage:
-//! ```text
-//! cargo run --release -p cim-bench --bin inspect -- <model> [options]
-//!   <model>            TinyYOLOv3|TinyYOLOv4|VGG16|VGG19|ResNet50|ResNet101|ResNet152
-//!   --x <n>            extra PEs over PE_min (default 0)
-//!   --wdup             enable weight duplication (greedy)
-//!   --wdup-exact       enable weight duplication (exact DP)
-//!   --lbl              layer-by-layer scheduling (default: cross-layer)
-//!   --sets <n>         cap sets per OFM (default: finest)
-//!   --gantt <width>    print a Gantt chart
-//!   --critical <n>     print the top-n critical-path layers
-//!   --json <path>      export the schedule rows as JSON
-//!   --jobs <n>         accepted for CLI uniformity with the other
-//!                      binaries (inspect evaluates one configuration)
-//! ```
+//! Usage: `cargo run --release -p cim-bench --bin inspect -- <model> [flags]`.
+//! `--help` prints the flags of `FLAGS` below; an unknown model, flag or
+//! value exits 2 with the usage.
 
 use cim_arch::Architecture;
-use cim_bench::{parse_common_args, render_table};
+use cim_bench::cli::{self, Flag};
+use cim_bench::render_table;
 use cim_frontend::{canonicalize, CanonOptions};
 use cim_mapping::Solver;
 use clsa_core::{
@@ -27,48 +16,29 @@ use clsa_core::{
     SetPolicy,
 };
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+const FLAGS: &[Flag] = &[
+    cli::MODEL,
+    Flag::value("--x", "n", "extra PEs over PE_min (default 0)"),
+    Flag::switch("--wdup", "enable weight duplication (greedy)"),
+    Flag::switch("--wdup-exact", "enable weight duplication (exact DP)"),
+    Flag::switch("--lbl", "layer-by-layer scheduling (default: cross-layer)"),
+    Flag::value("--sets", "n", "cap sets per OFM (default: finest)"),
+    Flag::value("--gantt", "width", "print a Gantt chart"),
+    Flag::value("--critical", "n", "print the top-n critical-path layers"),
+    Flag::value("--json", "path", "export the schedule rows as JSON"),
+];
 
 fn main() {
-    let common = parse_common_args();
-    // Nothing below consumes randomness; surface a stray --seed.
-    common.note_seed_unused();
-    common.note_cache_dir_unused();
-    let (args, json) = (common.rest, common.json);
-    let model_name = args.first().cloned().unwrap_or_else(|| {
-        eprintln!(
-            "usage: inspect <model> [--x n] [--wdup] [--lbl] [--sets n] [--gantt w] [--critical n]"
-        );
-        std::process::exit(2);
-    });
-    let info = cim_models::all_models()
-        .into_iter()
-        .find(|m| m.name.eq_ignore_ascii_case(&model_name))
-        .unwrap_or_else(|| {
-            eprintln!("unknown model `{model_name}`; known:");
-            for m in cim_models::all_models() {
-                eprintln!("  {}", m.name);
-            }
-            std::process::exit(2);
-        });
-
-    let x: usize = flag_value(&args, "--x")
-        .map(|v| v.parse().expect("--x takes a number"))
-        .unwrap_or(0);
-    let wdup = args.iter().any(|a| a == "--wdup");
-    let wdup_exact = args.iter().any(|a| a == "--wdup-exact");
-    let lbl = args.iter().any(|a| a == "--lbl");
-    let sets: Option<usize> =
-        flag_value(&args, "--sets").map(|v| v.parse().expect("--sets takes a number"));
-    let gantt: Option<usize> =
-        flag_value(&args, "--gantt").map(|v| v.parse().expect("--gantt takes a width"));
-    let critical: Option<usize> =
-        flag_value(&args, "--critical").map(|v| v.parse().expect("--critical takes a count"));
+    let args = cli::parse_env(FLAGS);
+    let info = args.check(cli::zoo_model(&args));
+    let x: usize = args.check(args.get("--x")).unwrap_or(0);
+    let wdup = args.switch("--wdup");
+    let wdup_exact = args.switch("--wdup-exact");
+    let lbl = args.switch("--lbl");
+    let sets: Option<usize> = args.check(args.get("--sets"));
+    let gantt: Option<usize> = args.check(args.get("--gantt"));
+    let critical: Option<usize> = args.check(args.get("--critical"));
+    let json = args.value("--json");
 
     let g = canonicalize(&info.build(), &CanonOptions::default())
         .expect("model canonicalizes")
@@ -159,7 +129,7 @@ fn main() {
         }
     }
     if let Some(path) = json {
-        cim_bench::write_json(&path, &gantt_rows(&r.layers, &r.schedule)).expect("write json");
+        cim_bench::write_json(path, &gantt_rows(&r.layers, &r.schedule)).expect("write json");
         println!("wrote {path}");
     }
 }

@@ -4,62 +4,37 @@
 //! tool reports the lot, plus the advisory analysis findings and the
 //! architecture-aware capacity checks the validator never sees).
 //!
-//! Usage:
-//! ```text
-//! cargo run --release -p cim-bench --bin lint-schedule -- <model> [options]
-//!   <model>            TinyYOLOv3|TinyYOLOv4|VGG16|VGG19|ResNet50|ResNet101|ResNet152
-//!   --x <n>            extra PEs over PE_min (default 0)
-//!   --wdup             enable weight duplication (greedy)
-//!   --lbl              layer-by-layer scheduling (default: cross-layer)
-//!   --sets <n>         cap sets per OFM (default: finest)
-//!   --json <path>      export the findings as JSON
-//! ```
+//! Usage: `cargo run --release -p cim-bench --bin lint-schedule -- <model> [flags]`;
+//! `--help` prints the flags of `FLAGS` below.
 //!
 //! Exit status: 0 when no `error`-severity finding exists, 1 otherwise,
 //! 2 on usage errors.
 
 use cim_arch::Architecture;
-use cim_bench::parse_common_args;
+use cim_bench::cli::{self, Flag};
 use cim_frontend::{canonicalize, CanonOptions};
 use cim_mapping::Solver;
 use clsa_core::{
     analyze_costed, capacity_diagnostics, run, RunConfig, ScheduleDiagnostic, SetPolicy, Severity,
 };
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+const FLAGS: &[Flag] = &[
+    cli::MODEL,
+    Flag::value("--x", "n", "extra PEs over PE_min (default 0)"),
+    Flag::switch("--wdup", "enable weight duplication (greedy)"),
+    Flag::switch("--lbl", "layer-by-layer scheduling (default: cross-layer)"),
+    Flag::value("--sets", "n", "cap sets per OFM (default: finest)"),
+    Flag::value("--json", "path", "export the findings as JSON"),
+];
 
 fn main() {
-    let common = parse_common_args();
-    common.note_seed_unused();
-    common.note_cache_dir_unused();
-    let (args, json) = (common.rest, common.json);
-    let model_name = args.first().cloned().unwrap_or_else(|| {
-        eprintln!("usage: lint-schedule <model> [--x n] [--wdup] [--lbl] [--sets n] [--json path]");
-        std::process::exit(2);
-    });
-    let info = cim_models::all_models()
-        .into_iter()
-        .find(|m| m.name.eq_ignore_ascii_case(&model_name))
-        .unwrap_or_else(|| {
-            eprintln!("unknown model `{model_name}`; known:");
-            for m in cim_models::all_models() {
-                eprintln!("  {}", m.name);
-            }
-            std::process::exit(2);
-        });
-
-    let x: usize = flag_value(&args, "--x")
-        .map(|v| v.parse().expect("--x takes a number"))
-        .unwrap_or(0);
-    let wdup = args.iter().any(|a| a == "--wdup");
-    let lbl = args.iter().any(|a| a == "--lbl");
-    let sets: Option<usize> =
-        flag_value(&args, "--sets").map(|v| v.parse().expect("--sets takes a number"));
+    let args = cli::parse_env(FLAGS);
+    let info = args.check(cli::zoo_model(&args));
+    let x: usize = args.check(args.get("--x")).unwrap_or(0);
+    let wdup = args.switch("--wdup");
+    let lbl = args.switch("--lbl");
+    let sets: Option<usize> = args.check(args.get("--sets"));
+    let json = args.value("--json");
 
     let g = canonicalize(&info.build(), &CanonOptions::default())
         .expect("model canonicalizes")
@@ -103,7 +78,7 @@ fn main() {
 
     if let Some(path) = json {
         let out = serde_json::to_string_pretty(&diags).expect("diagnostics serialize");
-        std::fs::write(&path, out).expect("JSON export path is writable");
+        std::fs::write(path, out).expect("JSON export path is writable");
     }
 
     if errors > 0 {

@@ -6,6 +6,9 @@ use std::path::Path;
 
 use serde::Serialize;
 
+use crate::cli::{Args, UsageError};
+use crate::runner::{parse_rate_spec, FaultPlan, RunnerOptions, ShardMode, ShardSpec};
+
 /// Serializes `records` as pretty JSON to `path`, creating parent
 /// directories as needed.
 ///
@@ -24,21 +27,12 @@ pub fn write_json<T: Serialize>(path: impl AsRef<Path>, records: &T) -> io::Resu
     fs::write(path, json)
 }
 
-/// Reads the process arguments and returns the `--json <path>` value, if
-/// any — the one flag every experiment binary supports.
-pub fn parse_args_json() -> Option<String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    parse_json_arg(&args).1
-}
-
-/// The flags shared by every experiment binary, parsed off the process
-/// arguments by [`parse_common_args`].
+/// The flags shared by the experiment binaries, read off a parsed flag
+/// table by [`CommonArgs::from_args`].
 #[derive(Debug, Clone, Default)]
 pub struct CommonArgs {
-    /// Arguments left over after the shared flags (binary-specific).
-    pub rest: Vec<String>,
     /// `--jobs <N>` → worker-pool options.
-    pub runner: crate::runner::RunnerOptions,
+    pub runner: RunnerOptions,
     /// `--json <path>` → export path.
     pub json: Option<String>,
     /// `--cache-dir <path>` → persistent result store directory.
@@ -47,28 +41,59 @@ pub struct CommonArgs {
     /// was not given; stochastic binaries fall back to [`DEFAULT_SEED`]).
     pub seed: Option<u64>,
     /// `--shard i/n` or `--shard merge` → sweep sharding mode
-    /// ([`ShardMode::All`](crate::runner::ShardMode::All) when absent).
-    pub shard: crate::runner::ShardMode,
+    /// ([`ShardMode::All`] when absent).
+    pub shard: ShardMode,
     /// `--resume` → replay the sweep journal beside `--cache-dir` and
     /// continue a killed run instead of starting over.
     pub resume: bool,
     /// `--fault-seed` / `--fault-rate` / `--fault-delay-ms` → the
     /// deterministic chaos plan, `None` outside chaos runs.
-    pub faults: Option<std::sync::Arc<crate::runner::FaultPlan>>,
+    pub faults: Option<std::sync::Arc<FaultPlan>>,
 }
 
 /// The seed stochastic binaries run with when `--seed` is not given.
 pub const DEFAULT_SEED: u64 = 0;
 
 impl CommonArgs {
+    /// Reads the shared flags off a parsed flag table; a flag the
+    /// binary's table does not declare reads as absent.
+    ///
+    /// # Errors
+    ///
+    /// [`UsageError::InvalidValue`] on a `--jobs` that is not a positive
+    /// integer, a `--seed`, `--fault-seed` or `--fault-delay-ms` that is
+    /// not an unsigned integer, or a malformed `--shard` or `--fault-rate`.
+    pub fn from_args(args: &Args) -> Result<Self, UsageError> {
+        let runner = match args.get::<std::num::NonZeroUsize>("--jobs")? {
+            Some(jobs) => RunnerOptions::with_jobs(jobs.get()),
+            None => RunnerOptions::default(),
+        };
+        let shard = match args.value("--shard") {
+            None => ShardMode::All,
+            Some("merge") => ShardMode::Merge,
+            Some(v) => ShardSpec::parse(v).map(ShardMode::Slice).ok_or_else(|| {
+                UsageError::invalid("--shard", v, "expected `i/n` with 0 <= i < n, or `merge`")
+            })?,
+        };
+        Ok(CommonArgs {
+            runner,
+            json: args.value("--json").map(str::to_owned),
+            cache_dir: args.value("--cache-dir").map(str::to_owned),
+            seed: args.get("--seed")?,
+            shard,
+            resume: args.switch("--resume"),
+            faults: fault_plan(args)?.map(std::sync::Arc::new),
+        })
+    }
+
     /// Opens the persistent [`ResultStore`](crate::runner::ResultStore)
     /// named by `--cache-dir`, or `None` when the flag was not given.
     ///
     /// # Panics
     ///
     /// Panics with a diagnostic when the directory cannot be created or
-    /// scanned — an unusable `--cache-dir` is a fatal flag error in the
-    /// experiment binaries, same as a malformed `--jobs`.
+    /// scanned — an unusable `--cache-dir` is fatal in the experiment
+    /// binaries.
     pub fn open_store(&self) -> Option<crate::runner::ResultStore> {
         self.cache_dir.as_deref().map(|dir| {
             let mut store = crate::runner::ResultStore::open(dir)
@@ -149,7 +174,6 @@ impl CommonArgs {
         jobs: &[crate::runner::SweepJob],
         store: Option<&crate::runner::ResultStore>,
     ) -> Result<Option<crate::runner::BatchResult>, clsa_core::CoreError> {
-        use crate::runner::ShardMode;
         let journal = match self.shard {
             ShardMode::All => self.open_journal(jobs, None),
             ShardMode::Slice(spec) => {
@@ -206,17 +230,6 @@ impl CommonArgs {
         }
     }
 
-    /// Prints a note when `--cache-dir` was passed to a binary whose
-    /// artifact is closed-form (no batch sweep to persist).
-    pub fn note_cache_dir_unused(&self) {
-        if let Some(dir) = &self.cache_dir {
-            eprintln!(
-                "note: --cache-dir {dir} ignored — this binary computes its \
-                 artifact directly and runs no batch sweep"
-            );
-        }
-    }
-
     /// The seed a stochastic binary should run with: the `--seed` value,
     /// or [`DEFAULT_SEED`]. Stochastic binaries must echo this value
     /// (`seed: <n>`) so every printed/exported result names the seed that
@@ -224,236 +237,35 @@ impl CommonArgs {
     pub fn seed_or_default(&self) -> u64 {
         self.seed.unwrap_or(DEFAULT_SEED)
     }
-
-    /// Prints a note when `--seed` was passed to a fully deterministic
-    /// binary (nothing here consumes randomness).
-    pub fn note_seed_unused(&self) {
-        if let Some(seed) = self.seed {
-            eprintln!("note: --seed {seed} ignored — this binary is deterministic");
-        }
-    }
 }
 
-/// Parses the five flags every experiment binary supports — `--jobs <N>`,
-/// `--json <path>`, `--cache-dir <path>`, `--seed <u64>`, and
-/// `--shard i/n|merge` — from the process arguments.
-///
-/// # Panics
-///
-/// Panics with a usage message on a malformed `--jobs`, `--seed`, or
-/// `--shard` value (see [`parse_jobs_arg`] / [`parse_seed_arg`] /
-/// [`parse_shard_arg`]).
-pub fn parse_common_args() -> CommonArgs {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, runner) = parse_jobs_arg(&raw);
-    let (rest, json) = parse_json_arg(&rest);
-    let (rest, cache_dir) = parse_cache_dir_arg(&rest);
-    let (rest, seed) = parse_seed_arg(&rest);
-    let (rest, shard) = parse_shard_arg(&rest);
-    let (rest, resume) = parse_resume_arg(&rest);
-    let (rest, faults) = parse_fault_args(&rest);
-    CommonArgs {
-        rest,
-        runner,
-        json,
-        cache_dir,
-        seed,
-        shard,
-        resume,
-        faults: faults.map(std::sync::Arc::new),
-    }
-}
-
-/// Parses an optional `--resume` flag (no value) from a raw argument
-/// list, returning the remaining arguments and whether it was present.
-pub fn parse_resume_arg(args: &[String]) -> (Vec<String>, bool) {
-    let mut rest = Vec::new();
-    let mut resume = false;
-    for a in args {
-        if a == "--resume" {
-            resume = true;
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    (rest, resume)
-}
-
-/// Parses the chaos flags — `--fault-seed <u64>`, repeatable
-/// `--fault-rate <site=per_mille>`, and `--fault-delay-ms <u64>` — into
-/// a [`FaultPlan`](crate::runner::FaultPlan). `None` when no chaos flag
-/// is given (the common case: zero injection overhead).
-///
-/// # Panics
-///
-/// Panics with a usage message on a malformed value (the experiment
-/// binaries treat bad flags as fatal).
-pub fn parse_fault_args(args: &[String]) -> (Vec<String>, Option<crate::runner::FaultPlan>) {
-    let mut rest = Vec::new();
-    let mut seed = None;
-    let mut delay_ms = None;
-    let mut rates = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--fault-seed" => {
-                seed = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--fault-seed takes an unsigned 64-bit integer"), // cim-lint: allow(panic-unwrap) CLI parse/serialize; abort with message is the contract
-                );
-            }
-            "--fault-rate" => {
-                let spec = it.next().expect("--fault-rate takes site=per_mille"); // cim-lint: allow(panic-unwrap) CLI parse/serialize; abort with message is the contract
-                let parsed = crate::runner::parse_rate_spec(spec)
-                    .unwrap_or_else(|e| panic!("--fault-rate {spec}: {e}"));
-                rates.push(parsed);
-            }
-            "--fault-delay-ms" => {
-                delay_ms = Some(
-                    it.next()
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .expect("--fault-delay-ms takes an unsigned integer"), // cim-lint: allow(panic-unwrap) CLI parse/serialize; abort with message is the contract
-                );
-            }
-            _ => rest.push(a.clone()),
-        }
-    }
+/// The chaos plan of `--fault-seed`, the repeatable `--fault-rate` and
+/// `--fault-delay-ms`; `None` when no chaos flag is given (the common
+/// case: zero injection overhead).
+fn fault_plan(args: &Args) -> Result<Option<FaultPlan>, UsageError> {
+    let seed = args.get::<u64>("--fault-seed")?;
+    let delay_ms = args.get::<u64>("--fault-delay-ms")?;
+    let rates = args
+        .values("--fault-rate")
+        .map(|spec| parse_rate_spec(spec).map_err(|e| UsageError::invalid("--fault-rate", spec, e)))
+        .collect::<Result<Vec<_>, _>>()?;
     if seed.is_none() && delay_ms.is_none() && rates.is_empty() {
-        return (rest, None);
+        return Ok(None);
     }
-    let mut plan = crate::runner::FaultPlan::new(seed.unwrap_or(0));
+    let mut plan = FaultPlan::new(seed.unwrap_or(0));
     for (site, per_mille) in rates {
         plan = plan.with_rate(site, per_mille);
     }
     if let Some(ms) = delay_ms {
         plan = plan.with_delay(std::time::Duration::from_millis(ms));
     }
-    (rest, Some(plan))
-}
-
-/// Parses an optional `--jobs <N>` argument pair from a raw argument
-/// list, returning the remaining arguments and the worker-pool options —
-/// [`RunnerOptions::default`](crate::runner::RunnerOptions::default) (one
-/// worker per hardware thread) when the flag is absent.
-///
-/// # Panics
-///
-/// Panics with a usage message when the flag value is missing or not a
-/// positive integer (the experiment binaries treat bad flags as fatal).
-pub fn parse_jobs_arg(args: &[String]) -> (Vec<String>, crate::runner::RunnerOptions) {
-    let mut rest = Vec::new();
-    let mut options = crate::runner::RunnerOptions::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            let n: usize = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n > 0)
-                .expect("--jobs takes a positive integer"); // cim-lint: allow(panic-unwrap) CLI parse/serialize; abort with message is the contract
-            options = crate::runner::RunnerOptions::with_jobs(n);
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    (rest, options)
-}
-
-/// Parses an optional `--cache-dir <path>` argument pair from a raw
-/// argument list, returning the remaining arguments and the persistent
-/// store directory if present.
-pub fn parse_cache_dir_arg(args: &[String]) -> (Vec<String>, Option<String>) {
-    let mut rest = Vec::new();
-    let mut dir = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--cache-dir" {
-            dir = it.next().cloned();
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    (rest, dir)
-}
-
-/// Parses an optional `--seed <u64>` argument pair from a raw argument
-/// list, returning the remaining arguments and the seed if present.
-///
-/// # Panics
-///
-/// Panics with a usage message when the flag value is missing or not a
-/// u64 (the experiment binaries treat bad flags as fatal).
-pub fn parse_seed_arg(args: &[String]) -> (Vec<String>, Option<u64>) {
-    let mut rest = Vec::new();
-    let mut seed = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--seed" {
-            seed = Some(
-                it.next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed takes an unsigned 64-bit integer"), // cim-lint: allow(panic-unwrap) CLI parse/serialize; abort with message is the contract
-            );
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    (rest, seed)
-}
-
-/// Parses an optional `--shard <i/n|merge>` argument pair from a raw
-/// argument list, returning the remaining arguments and the sharding
-/// mode — [`ShardMode::All`](crate::runner::ShardMode::All) when the
-/// flag is absent.
-///
-/// # Panics
-///
-/// Panics with a usage message when the flag value is missing, `merge`
-/// is misspelled, or `i/n` does not satisfy `i < n` (the experiment
-/// binaries treat bad flags as fatal).
-pub fn parse_shard_arg(args: &[String]) -> (Vec<String>, crate::runner::ShardMode) {
-    let mut rest = Vec::new();
-    let mut mode = crate::runner::ShardMode::All;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--shard" {
-            let value = it.next().expect("--shard takes `i/n` (0 <= i < n) or `merge`"); // cim-lint: allow(panic-unwrap) CLI parse/serialize; abort with message is the contract
-            mode = if value == "merge" {
-                crate::runner::ShardMode::Merge
-            } else {
-                crate::runner::ShardSpec::parse(value)
-                    .map(crate::runner::ShardMode::Slice)
-                    .unwrap_or_else(|| {
-                        panic!("--shard {value}: expected `i/n` with 0 <= i < n, or `merge`")
-                    })
-            };
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    (rest, mode)
-}
-
-/// Parses an optional `--json <path>` argument pair from a raw argument
-/// list, returning the remaining arguments and the path if present.
-pub fn parse_json_arg(args: &[String]) -> (Vec<String>, Option<String>) {
-    let mut rest = Vec::new();
-    let mut json = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--json" {
-            json = it.next().cloned();
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    (rest, json)
+    Ok(Some(plan))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::{self, Flag};
 
     #[test]
     fn writes_and_creates_dirs() {
@@ -466,101 +278,127 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every shared flag, plus one binary-specific flag that must stay
+    /// readable beside them.
+    const FLAGS: &[Flag] = &[
+        cli::JOBS,
+        cli::JSON,
+        cli::CACHE_DIR,
+        cli::SEED,
+        cli::SHARD,
+        cli::RESUME,
+        cli::FAULT_SEED,
+        cli::FAULT_RATE,
+        cli::FAULT_DELAY_MS,
+        Flag::value("--part", "a|b|c", "part"),
+    ];
+
+    fn parse(args: &[&str]) -> Result<(CommonArgs, Option<String>), UsageError> {
+        let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        let args = cli::parse(FLAGS, &argv)?;
+        Ok((
+            CommonArgs::from_args(&args)?,
+            args.value("--part").map(str::to_owned),
+        ))
+    }
+
     #[test]
     fn parses_jobs_flag() {
-        let args: Vec<String> = ["--jobs", "3", "--part", "c"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (rest, options) = parse_jobs_arg(&args);
-        assert_eq!(rest, vec!["--part".to_string(), "c".to_string()]);
-        assert_eq!(options.jobs, 3);
-        let (_, default) = parse_jobs_arg(&rest);
-        assert!(default.jobs >= 1);
+        let (common, part) = parse(&["--jobs", "3", "--part", "c"]).unwrap();
+        assert_eq!(part.as_deref(), Some("c"));
+        assert_eq!(common.runner.jobs, 3);
+        let (default, _) = parse(&["--part", "c"]).unwrap();
+        assert!(default.runner.jobs >= 1);
+        for bad in ["0", "-1", "abc"] {
+            assert!(matches!(
+                parse(&["--jobs", bad]),
+                Err(UsageError::InvalidValue("--jobs", ..))
+            ));
+        }
     }
 
     #[test]
     fn parses_cache_dir_flag() {
-        let args: Vec<String> = ["--cache-dir", "/tmp/store", "--part", "c"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (rest, dir) = parse_cache_dir_arg(&args);
-        assert_eq!(rest, vec!["--part".to_string(), "c".to_string()]);
-        assert_eq!(dir.as_deref(), Some("/tmp/store"));
-        let (_, none) = parse_cache_dir_arg(&rest);
-        assert!(none.is_none());
+        let (common, part) = parse(&["--cache-dir", "/tmp/store", "--part", "c"]).unwrap();
+        assert_eq!(part.as_deref(), Some("c"));
+        assert_eq!(common.cache_dir.as_deref(), Some("/tmp/store"));
+        let (none, _) = parse(&["--part", "c"]).unwrap();
+        assert!(none.cache_dir.is_none());
     }
 
     #[test]
     fn parses_seed_flag() {
-        let args: Vec<String> = ["--seed", "12345", "--part", "c"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (rest, seed) = parse_seed_arg(&args);
-        assert_eq!(rest, vec!["--part".to_string(), "c".to_string()]);
-        assert_eq!(seed, Some(12345));
-        let (_, none) = parse_seed_arg(&rest);
-        assert!(none.is_none());
+        let (common, part) = parse(&["--seed", "12345", "--part", "c"]).unwrap();
+        assert_eq!(part.as_deref(), Some("c"));
+        assert_eq!(common.seed, Some(12345));
+        let (none, _) = parse(&["--part", "c"]).unwrap();
+        assert!(none.seed.is_none());
         let defaulted = CommonArgs::default();
         assert_eq!(defaulted.seed_or_default(), DEFAULT_SEED);
+        assert!(matches!(
+            parse(&["--seed", "x"]),
+            Err(UsageError::InvalidValue("--seed", ..))
+        ));
     }
 
     #[test]
     fn parses_shard_flag() {
-        use crate::runner::{ShardMode, ShardSpec};
-        let args: Vec<String> = ["--shard", "1/3", "--part", "c"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (rest, mode) = parse_shard_arg(&args);
-        assert_eq!(rest, vec!["--part".to_string(), "c".to_string()]);
-        assert_eq!(mode, ShardMode::Slice(ShardSpec::new(1, 3).unwrap()));
+        let (common, part) = parse(&["--shard", "1/3", "--part", "c"]).unwrap();
+        assert_eq!(part.as_deref(), Some("c"));
+        assert_eq!(
+            common.shard,
+            ShardMode::Slice(ShardSpec::new(1, 3).unwrap())
+        );
 
-        let merge: Vec<String> = vec!["--shard".into(), "merge".into()];
-        let (rest, mode) = parse_shard_arg(&merge);
-        assert!(rest.is_empty());
-        assert_eq!(mode, ShardMode::Merge);
+        let (merge, part) = parse(&["--shard", "merge"]).unwrap();
+        assert!(part.is_none());
+        assert_eq!(merge.shard, ShardMode::Merge);
 
-        let (_, absent) = parse_shard_arg(&["--part".to_string()]);
-        assert_eq!(absent, ShardMode::All);
+        let (absent, _) = parse(&["--part", "c"]).unwrap();
+        assert_eq!(absent.shard, ShardMode::All);
         assert_eq!(CommonArgs::default().shard, ShardMode::All);
+        assert!(matches!(
+            parse(&["--shard", "2/2"]),
+            Err(UsageError::InvalidValue("--shard", ..))
+        ));
     }
 
     #[test]
     fn parses_resume_flag() {
-        let args: Vec<String> = ["--resume", "--part", "c"].iter().map(|s| s.to_string()).collect();
-        let (rest, resume) = parse_resume_arg(&args);
-        assert_eq!(rest, vec!["--part".to_string(), "c".to_string()]);
-        assert!(resume);
-        let (_, absent) = parse_resume_arg(&rest);
-        assert!(!absent);
+        let (common, part) = parse(&["--resume", "--part", "c"]).unwrap();
+        assert_eq!(part.as_deref(), Some("c"));
+        assert!(common.resume);
+        let (absent, _) = parse(&["--part", "c"]).unwrap();
+        assert!(!absent.resume);
         assert!(!CommonArgs::default().resume);
     }
 
     #[test]
     fn parses_fault_flags() {
         use crate::runner::FaultSite;
-        let args: Vec<String> = [
+        let (common, part) = parse(&[
             "--fault-seed", "7", "--fault-rate", "store-read=300",
             "--fault-rate", "job-panic=1000", "--fault-delay-ms", "25", "--part", "c",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let (rest, plan) = parse_fault_args(&args);
-        assert_eq!(rest, vec!["--part".to_string(), "c".to_string()]);
-        let plan = plan.expect("chaos flags build a plan");
+        ])
+        .unwrap();
+        assert_eq!(part.as_deref(), Some("c"));
+        let plan = common.faults.expect("chaos flags build a plan");
         assert_eq!(plan.seed(), 7);
         assert!(plan.would_fire(FaultSite::JobPanic, 1, 0), "rate 1000 always fires");
+        assert!(
+            (0..64).any(|k| plan.would_fire(FaultSite::StoreRead, k, 0)),
+            "an earlier --fault-rate is kept"
+        );
         assert!(!plan.would_fire(FaultSite::ConnDrop, 1, 0), "unset site never fires");
 
-        let (rest, none) = parse_fault_args(&rest);
-        assert_eq!(rest.len(), 2);
-        assert!(none.is_none(), "no chaos flags, no plan");
+        let (none, _) = parse(&["--part", "c"]).unwrap();
+        assert!(none.faults.is_none(), "no chaos flags, no plan");
         assert!(CommonArgs::default().faults.is_none());
         assert!(CommonArgs::default().fault_hook().is_none());
+        assert!(matches!(
+            parse(&["--fault-rate", "bogus=10"]),
+            Err(UsageError::InvalidValue("--fault-rate", ..))
+        ));
     }
 
     #[test]
@@ -571,15 +409,10 @@ mod tests {
 
     #[test]
     fn parses_json_flag() {
-        let args: Vec<String> = ["--part", "a", "--json", "out.json"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (rest, json) = parse_json_arg(&args);
-        assert_eq!(rest, vec!["--part".to_string(), "a".to_string()]);
-        assert_eq!(json.as_deref(), Some("out.json"));
-        let (rest, json) = parse_json_arg(&rest);
-        assert_eq!(rest.len(), 2);
-        assert!(json.is_none());
+        let (common, part) = parse(&["--part", "a", "--json", "out.json"]).unwrap();
+        assert_eq!(part.as_deref(), Some("a"));
+        assert_eq!(common.json.as_deref(), Some("out.json"));
+        let (none, _) = parse(&["--part", "a"]).unwrap();
+        assert!(none.json.is_none());
     }
 }

@@ -16,17 +16,20 @@
 //! | Ablation: NoC hop cost (Sec. V-C) | `ablation_noc` |
 //! | Ablation: cell resolution / bit slicing | `ablation_bitslice` |
 //!
-//! Run e.g. `cargo run --release -p cim-bench --bin fig7`. Every binary
-//! accepts `--json <path>` to additionally export its records and
-//! `--jobs <N>` to set the worker-thread count of the evaluation engine
-//! (default: one worker per hardware thread; `--jobs 1` is the sequential
-//! reference — results are bit-for-bit identical either way).
+//! Run e.g. `cargo run --release -p cim-bench --bin fig7`. Each binary
+//! accepts exactly the flags of its table ([`cli`]); `--help` lists them
+//! and anything else exits 2. Most take `--json <path>` to additionally
+//! export their records and `--jobs <N>` to set the worker-thread count
+//! of the evaluation engine (default: one worker per hardware thread;
+//! `--jobs 1` is the sequential reference — results are bit-for-bit
+//! identical either way).
 //!
 //! The library part hosts the parallel batched evaluation engine
 //! ([`runner`]: lane-based worker pool, concurrent schedule cache,
 //! deterministic [`BatchResult`](runner::BatchResult) aggregation), the
 //! shared sweep driver ([`experiments`]), the text-table renderer
-//! ([`table`]), and JSON export ([`export`]).
+//! ([`table`]), the binaries' argv parser ([`cli`]), and JSON export
+//! ([`export`]).
 //!
 //! # Examples
 //!
@@ -49,6 +52,7 @@
 #![warn(missing_docs)]
 
 pub mod artifacts;
+pub mod cli;
 pub mod experiments;
 pub mod export;
 pub mod runner;
@@ -56,9 +60,5 @@ pub mod table;
 pub mod tune;
 
 pub use experiments::{paper_sweep, ConfigResult, SweepOptions};
-pub use export::{
-    parse_args_json, parse_cache_dir_arg, parse_common_args, parse_fault_args, parse_jobs_arg,
-    parse_json_arg, parse_resume_arg, parse_seed_arg, parse_shard_arg, write_json, CommonArgs,
-    DEFAULT_SEED,
-};
+pub use export::{write_json, CommonArgs, DEFAULT_SEED};
 pub use table::render_table;

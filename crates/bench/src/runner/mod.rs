@@ -35,9 +35,9 @@
 //! [`run_batch`] (sweep jobs → [`BatchResult`]). One [`BatchPlan`]
 //! selects everything opt-in — store, shard slice or merge, journal,
 //! fault hook — and its [`Default`] is the plain in-memory run. The
-//! experiment binaries all sit on top and accept `--jobs N` (see
-//! [`parse_jobs_arg`](crate::parse_jobs_arg)) plus `--cache-dir <path>`
-//! (see [`parse_common_args`](crate::parse_common_args)); `fig6` and
+//! experiment binaries all sit on top; their flag tables ([`crate::cli`])
+//! list `--jobs N` and, for the sweeps, `--cache-dir <path>`, both read
+//! by [`CommonArgs::from_args`](crate::CommonArgs::from_args). `fig6` and
 //! `fig7` drive their sweeps through
 //! [`CommonArgs::run_sweep`](crate::CommonArgs::run_sweep).
 //!

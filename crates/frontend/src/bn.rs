@@ -14,7 +14,7 @@
 //! which removes the BN node from the graph entirely (Jacob et al., CVPR
 //! 2018 \[21\] in the paper).
 
-use cim_ir::{NodeId, Op, Params, Tensor};
+use cim_ir::{Op, Params, Tensor};
 
 use crate::error::{FrontendError, Result};
 use crate::rewrite::{check_input, Rewriter};
@@ -184,19 +184,6 @@ pub fn has_batch_norm(g: &cim_ir::Graph) -> bool {
     g.iter().any(|n| matches!(n.op, Op::BatchNorm(_)))
 }
 
-/// Ids of BN nodes that [`fold_batch_norm`] would *not* remove (producer is
-/// not a base layer, or the producer has other consumers).
-pub fn unfoldable_batch_norms(g: &cim_ir::Graph) -> Vec<NodeId> {
-    let consumers = g.consumers();
-    g.iter()
-        .filter(|n| matches!(n.op, Op::BatchNorm(_)))
-        .filter(|n| {
-            let prod = g.node(n.inputs[0]).expect("validated graph"); // cim-lint: allow(panic-unwrap) guarded by the preceding has_kernel/validate checks
-            !(prod.op.is_base() && consumers[prod.id.index()].len() == 1)
-        })
-        .map(|n| n.id)
-        .collect()
-}
 
 #[cfg(test)]
 mod tests {
@@ -328,7 +315,6 @@ mod tests {
             .unwrap();
         let folded = fold_batch_norm(&g).unwrap();
         assert!(has_batch_norm(&folded));
-        assert_eq!(unfoldable_batch_norms(&g).len(), 1);
     }
 
     #[test]

@@ -328,30 +328,6 @@ impl Graph {
         Ok(())
     }
 
-    /// Counts nodes per operation mnemonic, sorted alphabetically — a
-    /// quick structural fingerprint for logs and tests.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use cim_ir::{FeatureShape, Graph, Op};
-    /// # fn main() -> Result<(), cim_ir::IrError> {
-    /// let mut g = Graph::new("t");
-    /// let x = g.add("input", Op::Input { shape: FeatureShape::new(2, 2, 1) }, &[])?;
-    /// g.add("a", Op::Add, &[x, x])?;
-    /// let hist = g.op_histogram();
-    /// assert_eq!(hist, vec![("add".to_string(), 1), ("input".to_string(), 1)]);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn op_histogram(&self) -> Vec<(String, usize)> {
-        let mut map: std::collections::BTreeMap<&'static str, usize> = Default::default();
-        for n in &self.nodes {
-            *map.entry(n.op.mnemonic()).or_default() += 1;
-        }
-        map.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
-    }
-
     /// Total number of scalar parameters attached to the graph.
     pub fn param_count(&self) -> usize {
         self.nodes
@@ -513,10 +489,6 @@ mod tests {
         let x = input(&mut g, 8, 8, 3);
         let c1 = g.add("c1", conv_op(4), &[x]).unwrap();
         g.add("c2", conv_op(4), &[c1]).unwrap();
-        assert_eq!(
-            g.op_histogram(),
-            vec![("conv2d".to_string(), 2), ("input".to_string(), 1)]
-        );
         assert_eq!(g.to_string(), "net: 3 nodes (2 base layers, 1 outputs)");
     }
 }

@@ -100,16 +100,6 @@ impl Rect {
     pub fn contains_pixel(&self, y: usize, x: usize) -> bool {
         self.y0 <= y && y <= self.y1 && self.x0 <= x && x <= self.x1
     }
-
-    /// Smallest rectangle covering both.
-    pub fn union(&self, other: &Rect) -> Rect {
-        Rect::new(
-            self.y0.min(other.y0),
-            self.x0.min(other.x0),
-            self.y1.max(other.y1),
-            self.x1.max(other.x1),
-        )
-    }
 }
 
 impl std::fmt::Display for Rect {
@@ -390,7 +380,6 @@ mod tests {
         let b = Rect::new(2, 2, 5, 5);
         assert_eq!(a.area(), 16);
         assert_eq!(a.intersect(&b), Some(Rect::new(2, 2, 3, 3)));
-        assert_eq!(a.union(&b), Rect::new(0, 0, 5, 5));
         assert!(a.intersects(&b));
         assert!(!a.intersects(&Rect::new(4, 4, 5, 5)));
         assert!(a.contains(&Rect::new(1, 1, 2, 2)));

@@ -95,9 +95,29 @@ pub fn all_models() -> Vec<ModelInfo> {
     v
 }
 
+/// The raw (uncanonicalized) graph of a registry entry, or of `fig5`, the
+/// paper's Fig. 5 worked example; `None` for any other name.
+pub fn graph_by_name(name: &str) -> Option<Graph> {
+    if name == "fig5" {
+        return Some(crate::fig5_example());
+    }
+    all_models()
+        .into_iter()
+        .find(|m| m.name == name)
+        .map(|m| m.build())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn graph_by_name_resolves_the_registry_and_fig5() {
+        assert_eq!(graph_by_name("fig5"), Some(crate::fig5_example()));
+        assert_eq!(graph_by_name("VGG16"), Some(crate::vgg16()));
+        assert_eq!(graph_by_name("vgg16"), None, "names are case-sensitive");
+        assert_eq!(graph_by_name("AlexNet"), None);
+    }
     use cim_arch::CrossbarSpec;
     use cim_mapping::{layer_costs, min_pes, MappingOptions};
 

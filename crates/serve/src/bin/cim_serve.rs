@@ -25,64 +25,56 @@
 //! directory stops accepting writes the daemon degrades to cache-only
 //! mode and keeps answering — visible in `stats` and the `health` op.
 //!
+//! `--help` lists the flags; any other argument or a malformed value
+//! exits 2.
+//!
 //! ```text
 //! $ cim-serve --socket /tmp/cim.sock --cache-dir /tmp/cim-store &
 //! $ printf '%s\n' '{"id":"r1","model":"fig5","strategy":"xinf"}' | nc -U /tmp/cim.sock
 //! ```
 
-use cim_bench::parse_common_args;
+use std::num::NonZeroUsize;
+
+use cim_bench::cli::{self, Flag};
 use cim_serve::{Daemon, DaemonOptions, EngineOptions};
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+const FLAGS: &[Flag] = &[
+    Flag::value("--socket", "path", "default /tmp/cim-serve.sock"),
+    Flag::value("--tcp", "addr", "also listen on this TCP address"),
+    Flag::value("--max-queue", "n", "queued computations (default 256)"),
+    Flag::value("--tenant-quota", "n", "queued computations per model"),
+    Flag::value("--jobs", "N", "compute lanes (default: one per CPU)"),
+    Flag::value("--cache-dir", "dir", "durable result store"),
+    Flag::value("--read-timeout-ms", "ms", "idle timeout, 0 = forever"),
+    Flag::value("--max-line-bytes", "n", "longest request line"),
+    cli::FAULT_SEED,
+    cli::FAULT_RATE,
+    cli::FAULT_DELAY_MS,
+];
 
 fn main() {
-    let common = parse_common_args();
-    common.note_seed_unused();
-    let rest = &common.rest;
-    if common.json.is_some() {
-        eprintln!("note: --json ignored — stats are served via the `stats` request");
-    }
-
-    let socket = flag_value(rest, "--socket").unwrap_or_else(|| "/tmp/cim-serve.sock".into());
-    let tcp = flag_value(rest, "--tcp");
-    let parse_unsigned = |flag: &str, v: String| -> u64 {
-        v.parse::<u64>().unwrap_or_else(|_| {
-            eprintln!("{flag} expects an unsigned integer, got `{v}`");
-            std::process::exit(2);
-        })
-    };
-    let max_queue = flag_value(rest, "--max-queue")
-        .map(|v| parse_unsigned("--max-queue", v) as usize)
-        .unwrap_or(256);
-    let tenant_quota = flag_value(rest, "--tenant-quota").map(|v| {
-        let quota = parse_unsigned("--tenant-quota", v) as usize;
-        if quota == 0 {
-            eprintln!("--tenant-quota must be at least 1 (omit the flag to disable)");
-            std::process::exit(2);
-        }
-        quota
-    });
-    let read_timeout = match flag_value(rest, "--read-timeout-ms")
-        .map(|v| parse_unsigned("--read-timeout-ms", v))
-    {
+    let flags = cli::parse_env(FLAGS);
+    let common = flags.common();
+    let socket = flags.value("--socket").unwrap_or("/tmp/cim-serve.sock");
+    let tcp = flags.value("--tcp").map(str::to_owned);
+    let max_queue: usize = flags.check(flags.get("--max-queue")).unwrap_or(256);
+    let tenant_quota = flags
+        .check(flags.get::<NonZeroUsize>("--tenant-quota"))
+        .map(NonZeroUsize::get);
+    let read_timeout = match flags.check(flags.get("--read-timeout-ms")) {
         Some(0) => None, // explicit 0 = wait forever
         Some(ms) => Some(std::time::Duration::from_millis(ms)),
         None => Some(cim_serve::DEFAULT_READ_TIMEOUT),
     };
-    let max_line_bytes = flag_value(rest, "--max-line-bytes")
-        .map(|v| parse_unsigned("--max-line-bytes", v) as usize)
+    let max_line_bytes = flags
+        .check(flags.get("--max-line-bytes"))
         .unwrap_or(cim_serve::DEFAULT_MAX_LINE_BYTES);
 
     if let Some(plan) = &common.faults {
         println!("cim-serve: fault plan seeded with {}", plan.seed());
     }
     let options = DaemonOptions {
-        socket: socket.clone().into(),
+        socket: socket.into(),
         tcp: tcp.clone(),
         engine: EngineOptions {
             jobs: common.runner.jobs,

@@ -22,28 +22,31 @@
 //! Connect mode: drives one pass against an externally started daemon
 //! (the CI smoke job), optionally dumping the raw reply lines for
 //! byte-comparison and/or shutting the daemon down afterwards.
+//!
+//! `--help` lists the flags and runs nothing; any other argument or a
+//! malformed value exits 2.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use cim_bench::parse_common_args;
+use cim_bench::cli::{self, Flag};
 use cim_serve::{
     Client, Daemon, DaemonOptions, EngineOptions, Op, Request, RetryPolicy, StatsSnapshot,
 };
 use cim_tune::{Clock, SystemClock};
 use serde::Value;
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
+const FLAGS: &[Flag] = &[
+    Flag::value("--requests", "n", "requests per pass (default 24)"),
+    Flag::value("--model", "name", "model to schedule (default fig5)"),
+    Flag::value("--jobs", "N", "daemon lanes (default: one per CPU)"),
+    Flag::value("--cache-dir", "dir", "store (default: a temporary one)"),
+    Flag::value("--json", "path", "snapshot (default BENCH_serve.json)"),
+    Flag::value("--connect", "socket", "drive a running daemon instead"),
+    Flag::value("--replies", "path", "with --connect: dump the replies"),
+    Flag::switch("--shutdown", "with --connect: stop the daemon after"),
+];
 
 /// The request list both generations replay: `n` requests cycling over
 /// the four strategies and two duplication budgets (8 distinct keys).
@@ -185,28 +188,19 @@ fn main() {
 }
 
 fn run() -> io::Result<()> {
-    let common = parse_common_args();
-    common.note_seed_unused();
-    let rest = &common.rest;
-    let requests: usize = match flag_value(rest, "--requests") {
-        Some(v) => v.parse().map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "--requests expects an unsigned integer",
-            )
-        })?,
-        None => 24,
-    };
-    let model = flag_value(rest, "--model").unwrap_or_else(|| "fig5".into());
-    let lines = request_lines(requests, &model);
+    let flags = cli::parse_env(FLAGS);
+    let common = flags.common();
+    let requests: usize = flags.check(flags.get("--requests")).unwrap_or(24);
+    let model = flags.value("--model").unwrap_or("fig5");
+    let lines = request_lines(requests, model);
 
-    if let Some(socket) = flag_value(rest, "--connect") {
+    if let Some(socket) = flags.value("--connect") {
         // External mode: one pass against a running daemon. Retry the
         // connect — CI starts the daemon in the background and races it.
-        let mut client = connect_with_retry(&PathBuf::from(&socket))?;
-        let pass = drive(&mut client, &lines, has_flag(rest, "--shutdown"))?;
-        if let Some(path) = flag_value(rest, "--replies") {
-            std::fs::write(&path, pass.replies.join("\n") + "\n")
+        let mut client = connect_with_retry(&PathBuf::from(socket))?;
+        let pass = drive(&mut client, &lines, flags.switch("--shutdown"))?;
+        if let Some(path) = flags.value("--replies") {
+            std::fs::write(path, pass.replies.join("\n") + "\n")
                 .map_err(|e| io::Error::other(format!("write {path}: {e}")))?;
         }
         assert_eq!(
@@ -253,7 +247,7 @@ fn run() -> io::Result<()> {
 
     let snapshot = Value::Map(vec![
         ("bench".into(), Value::Str("cim-serve".into())),
-        ("model".into(), Value::Str(model.clone())),
+        ("model".into(), Value::Str(model.to_string())),
         ("requests".into(), Value::U64(requests as u64)),
         ("distinct_keys".into(), Value::U64(distinct_keys(requests) as u64)),
         ("jobs".into(), Value::U64(jobs as u64)),

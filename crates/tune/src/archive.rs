@@ -86,7 +86,6 @@ pub struct ParetoEntry {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ParetoArchive {
     entries: Vec<ParetoEntry>,
-    inserted: u64,
     dominated: u64,
 }
 
@@ -102,7 +101,6 @@ impl ParetoArchive {
     ///
     /// A duplicate offer of the same candidate index is idempotent.
     pub fn insert(&mut self, candidate: usize, measurement: Measurement) -> bool {
-        self.inserted += 1;
         if self.entries.iter().any(|e| {
             e.measurement.dominates(&measurement)
                 || (e.candidate == candidate && e.measurement == measurement)
@@ -126,11 +124,6 @@ impl ParetoArchive {
     /// Whether the front is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Measurements offered so far (including dominated ones).
-    pub fn offered(&self) -> u64 {
-        self.inserted
     }
 
     /// Offers that were dominated on arrival.
@@ -204,7 +197,6 @@ mod tests {
         assert_eq!(ar.len(), 1);
         assert!(!ar.insert(2, m(95, 0.15, 50, 8))); // dominated by 1
         assert_eq!(ar.len(), 1);
-        assert_eq!(ar.offered(), 3);
         assert_eq!(ar.rejected(), 1);
         assert_eq!(ar.entries()[0].candidate, 1);
     }

@@ -5,18 +5,25 @@
 //! Run with: `cargo run --release --example benchmark_sweep`
 //! (pass a model name to restrict, e.g. `-- VGG16`; pass `--jobs N` to
 //! set the worker count — results are identical for every N; pass
-//! `--cache-dir <path>` to persist sweep summaries across runs)
+//! `--cache-dir <path>` to persist sweep summaries across runs; `--help`
+//! lists the flags)
 
+use clsa_cim::bench::cli::{self, Flag};
 use clsa_cim::bench::runner::{run_batch, sweep_jobs_for_models, BatchPlan, ResultStore};
-use clsa_cim::bench::{parse_cache_dir_arg, parse_jobs_arg, SweepOptions};
+use clsa_cim::bench::SweepOptions;
 use clsa_cim::ir::Graph;
 
+const FLAGS: &[Flag] = &[
+    Flag::switch("<model>", "restrict the sweep to one Table II model"),
+    cli::JOBS,
+    cli::CACHE_DIR,
+];
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, runner) = parse_jobs_arg(&raw);
-    let (rest, cache_dir) = parse_cache_dir_arg(&rest);
-    let store = cache_dir.as_deref().map(ResultStore::open).transpose()?;
-    let filter = rest.first();
+    let flags = cli::parse_env(FLAGS);
+    let (runner, cache_dir) = (flags.common().runner, flags.value("--cache-dir"));
+    let store = cache_dir.map(ResultStore::open).transpose()?;
+    let filter = flags.operand();
 
     let models: Vec<(String, Graph)> = clsa_cim::models::table2_models()
         .iter()
