@@ -107,15 +107,6 @@ impl NocSpec {
         Ok(ca.row.abs_diff(cb.row) + ca.col.abs_diff(cb.col))
     }
 
-    /// Latency in cycles of moving a message from tile `a` to tile `b`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchError::UnknownUnit`] when either tile does not fit.
-    pub fn transfer_cycles(&self, a: TileId, b: TileId) -> Result<u64> {
-        Ok(self.hops(a, b)? as u64 * self.hop_latency_cycles)
-    }
-
     /// XY route from `a` to `b` as the sequence of intermediate coordinates
     /// (exclusive of `a`, inclusive of `b`): first along the row (X), then
     /// along the column (Y).
@@ -191,22 +182,6 @@ mod tests {
         assert_eq!(n.hops(TileId(0), TileId(3)).unwrap(), 3);
         assert_eq!(n.hops(TileId(0), TileId(15)).unwrap(), 6);
         assert_eq!(n.hops(TileId(5), TileId(10)).unwrap(), 2);
-    }
-
-    #[test]
-    fn transfer_cycles_scale_with_hop_latency() {
-        let mut n = NocSpec {
-            mesh_rows: 4,
-            mesh_cols: 4,
-            ..NocSpec::default()
-        };
-        assert_eq!(
-            n.transfer_cycles(TileId(0), TileId(15)).unwrap(),
-            0,
-            "paper default"
-        );
-        n.hop_latency_cycles = 3;
-        assert_eq!(n.transfer_cycles(TileId(0), TileId(15)).unwrap(), 18);
     }
 
     #[test]

@@ -36,6 +36,9 @@ fn main() {
     let wdup_exact = args.switch("--wdup-exact");
     let lbl = args.switch("--lbl");
     let sets: Option<usize> = args.check(args.get("--sets"));
+    if sets == Some(0) {
+        args.reject("--sets", "0", "must be at least 1");
+    }
     let gantt: Option<usize> = args.check(args.get("--gantt"));
     let critical: Option<usize> = args.check(args.get("--critical"));
     let json = args.value("--json");

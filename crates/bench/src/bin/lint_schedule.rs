@@ -34,6 +34,9 @@ fn main() {
     let wdup = args.switch("--wdup");
     let lbl = args.switch("--lbl");
     let sets: Option<usize> = args.check(args.get("--sets"));
+    if sets == Some(0) {
+        args.reject("--sets", "0", "must be at least 1");
+    }
     let json = args.value("--json");
 
     let g = canonicalize(&info.build(), &CanonOptions::default())

@@ -1,8 +1,8 @@
 //! # cim-bench — the experiment harness
 //!
 //! Regenerates every table and figure of the CLSA-CIM paper's evaluation
-//! (Sec. V), plus ablations for the design choices documented in DESIGN.md.
-//! Each artifact has a dedicated binary:
+//! (Sec. V), plus ablations of the design choices the paper leaves
+//! unquantified. Each artifact has a dedicated binary:
 //!
 //! | Paper artifact | Binary |
 //! |----------------|--------|
@@ -11,10 +11,7 @@
 //! | Fig. 5 (worked minimal example) | `fig5_minimal` |
 //! | Fig. 6 (case study: mapping, Gantt, bars) | `fig6` |
 //! | Fig. 7a/7b (speedup & utilization sweep) | `fig7` |
-//! | Ablation: set granularity | `ablation_granularity` |
-//! | Ablation: greedy vs exact duplication | `ablation_duplication` |
-//! | Ablation: NoC hop cost (Sec. V-C) | `ablation_noc` |
-//! | Ablation: cell resolution / bit slicing | `ablation_bitslice` |
+//! | Ablations: set granularity, greedy vs exact duplication, NoC hop cost (Sec. V-C), bit slicing, batching | `ablation <study>` |
 //!
 //! Run e.g. `cargo run --release -p cim-bench --bin fig7`. Each binary
 //! accepts exactly the flags of its table ([`cli`]); `--help` lists them

@@ -1,6 +1,7 @@
 //! The command-line contract of every `cim-bench` binary: `--help` exits
-//! 0 and lists each flag the binary reads, and an unknown flag exits 2
-//! with an error naming it. Neither runs any work.
+//! 0 and lists each flag the binary reads, and an unknown flag, a missing
+//! or unknown operand, or an out-of-range value exits 2 with an error
+//! naming it. Neither runs any work.
 
 use std::process::Command;
 
@@ -96,41 +97,40 @@ const BINARIES: &[(&str, &[&str])] = &[
         ],
     ),
     (
-        env!("CARGO_BIN_EXE_ablation_batching"),
-        &["--json", "--jobs"],
+        env!("CARGO_BIN_EXE_ablation"),
+        &["<study>", "--json", "--jobs"],
     ),
-    (
-        env!("CARGO_BIN_EXE_ablation_bitslice"),
-        &["--json", "--jobs"],
-    ),
-    (
-        env!("CARGO_BIN_EXE_ablation_duplication"),
-        &["--json", "--jobs"],
-    ),
-    (
-        env!("CARGO_BIN_EXE_ablation_granularity"),
-        &["--json", "--jobs"],
-    ),
-    (env!("CARGO_BIN_EXE_ablation_noc"), &["--json", "--jobs"]),
 ];
 
-fn run(exe: &str, arg: &str) -> std::process::Output {
-    Command::new(exe).arg(arg).output().expect("binary spawns")
+fn run(exe: &str, args: &[&str]) -> std::process::Output {
+    Command::new(exe)
+        .args(args)
+        .output()
+        .expect("binary spawns")
+}
+
+/// Asserts a usage error: exit 2, nothing on stdout, and each of
+/// `needles` on stderr.
+fn assert_usage_error(exe: &str, args: &[&str], needles: &[&str]) {
+    let out = run(exe, args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{exe} {args:?}: {stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{exe} {args:?} ran work before rejecting its arguments"
+    );
+    for needle in needles {
+        assert!(stderr.contains(needle), "{exe} {args:?}: {stderr}");
+    }
 }
 
 #[test]
 fn unknown_flag_exits_2_and_names_it() {
     for (exe, _) in BINARIES {
-        let out = run(exe, "--definitely-not-a-flag");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{exe}: {stderr}");
-        assert!(
-            stderr.contains("--definitely-not-a-flag"),
-            "{exe}: {stderr}"
-        );
-        assert!(
-            out.stdout.is_empty(),
-            "{exe} ran work before rejecting its flags"
+        assert_usage_error(
+            exe,
+            &["--definitely-not-a-flag"],
+            &["--definitely-not-a-flag"],
         );
     }
 }
@@ -138,7 +138,7 @@ fn unknown_flag_exits_2_and_names_it() {
 #[test]
 fn help_exits_0_and_lists_every_flag() {
     for (exe, flags) in BINARIES {
-        let out = run(exe, "--help");
+        let out = run(exe, &["--help"]);
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert_eq!(
             out.status.code(),
@@ -153,5 +153,26 @@ fn help_exits_0_and_lists_every_flag() {
             );
         }
         assert!(stdout.contains("--help"), "{exe}: {stdout}");
+    }
+}
+
+#[test]
+fn ablation_without_a_known_study_exits_2() {
+    let exe = env!("CARGO_BIN_EXE_ablation");
+    let studies = ["granularity", "duplication", "noc", "bitslice", "batching"];
+    assert_usage_error(exe, &[], &studies);
+    assert_usage_error(exe, &["--jobs", "1"], &["missing <study>"]);
+    assert_usage_error(exe, &["bogus"], &studies);
+    assert_usage_error(exe, &["bogus"], &["invalid <study> `bogus`"]);
+}
+
+#[test]
+fn zero_sets_exits_2_before_any_work() {
+    for exe in [
+        env!("CARGO_BIN_EXE_inspect"),
+        env!("CARGO_BIN_EXE_lint-schedule"),
+    ] {
+        let args = ["TinyYOLOv4", "--sets", "0"];
+        assert_usage_error(exe, &args, &["--sets", "must be at least 1"]);
     }
 }

@@ -224,24 +224,6 @@ pub fn conv_via_tiled_crossbars(
     )?)
 }
 
-/// Total cell-programming writes to store the given assignments once,
-/// accounting for bit slicing (each logical weight occupies
-/// `bit_slices(weight_bits)` physical cells).
-pub fn programming_writes(
-    assignments: &[PeAssignment],
-    xbar: &CrossbarSpec,
-    opts: &MappingOptions,
-) -> u64 {
-    let slices = match opts.weight_bits {
-        Some(bits) => xbar.bit_slices(bits) as u64,
-        None => 1,
-    };
-    assignments
-        .iter()
-        .map(|a| a.weights() as u64 * slices)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,20 +326,6 @@ mod tests {
         let tiled = conv_via_tiled_crossbars(&input, &a, &kernel, &xbar, &opts).unwrap();
         let direct = conv_via_im2col(&input, &a, &kernel).unwrap();
         assert!(tiled.max_abs_diff(&direct).unwrap() < 1e-4);
-    }
-
-    #[test]
-    fn programming_writes_count_slices() {
-        let xbar = CrossbarSpec::wan_nature_2022();
-        let no_slice = MappingOptions::default();
-        let sliced = MappingOptions {
-            weight_bits: Some(8),
-        }; // 2 slices
-        let t1 = tile_matrix(256, 256, &xbar, &no_slice);
-        assert_eq!(programming_writes(&t1, &xbar, &no_slice), 65_536);
-        let t2 = tile_matrix(256, 256, &xbar, &sliced);
-        assert_eq!(t2.len(), 2, "128 usable cols → 2 PEs");
-        assert_eq!(programming_writes(&t2, &xbar, &sliced), 2 * 65_536);
     }
 
     proptest! {

@@ -17,11 +17,11 @@
 //! `PE_min` in this crate's tests — the closed-form part of the paper's
 //! results reproduces *exactly*.
 //!
-//! The zoo models are shape-only (scheduling never reads weights; see
-//! DESIGN.md). The [`toy_cnn`] / [`mlp`] toys optionally attach seeded
-//! random parameters for numeric tests, [`fig5_example`] reproduces the
-//! paper's worked minimal example, and [`random_cnn`] generates valid
-//! random CNNs for fuzzing.
+//! The zoo models are shape-only (scheduling never reads weights). The
+//! [`toy_cnn`] / [`mlp`] toys optionally attach seeded random parameters
+//! for numeric tests, [`fig5_example`] reproduces the paper's worked
+//! minimal example, and [`random_cnn`] generates valid random CNNs for
+//! fuzzing.
 //!
 //! # Examples
 //!
