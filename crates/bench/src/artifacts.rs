@@ -43,28 +43,13 @@ pub fn fig6c_results(
     runner: &RunnerOptions,
     store: Option<&ResultStore>,
 ) -> Result<Vec<ConfigResult>, CoreError> {
-    fig6c_results_for(&case_study_graph(), runner, store)
-}
-
-/// [`fig6c_results`] on an already-canonicalized [`case_study_graph`] —
-/// for callers (the `fig6` binary's all-parts run) that hold one for the
-/// other figure parts and must not canonicalize the model twice.
-///
-/// # Errors
-///
-/// Propagates pipeline errors from the sweep.
-pub fn fig6c_results_for(
-    graph: &Graph,
-    runner: &RunnerOptions,
-    store: Option<&ResultStore>,
-) -> Result<Vec<ConfigResult>, CoreError> {
     let plan = BatchPlan { store, ..BatchPlan::default() };
-    Ok(run_batch(&fig6c_jobs(graph)?, runner, &plan)?.results)
+    Ok(run_batch(&fig6c_jobs(&case_study_graph())?, runner, &plan)?.results)
 }
 
 /// The flat job list behind [`fig6c_results`] — the form sharded
 /// execution (`--shard i/n` / `--shard merge`) partitions and merges.
-/// [`fig6c_results_for`] runs this same list, so slices warmed here
+/// [`fig6c_results`] runs this same list, so slices warmed here
 /// replay in the unsharded path and vice versa.
 ///
 /// # Errors

@@ -48,7 +48,7 @@ const STUDIES: &[(&str, Study)] = &[
 
 fn main() {
     let args = cli::parse_env(FLAGS);
-    let name = args.check(args.operand().ok_or(UsageError::MissingOperand(STUDY.name)));
+    let name = args.check(args.operand().ok_or(UsageError::Missing(STUDY.name)));
     let Some((_, study)) = STUDIES.iter().find(|(n, _)| *n == name) else {
         let known: Vec<&str> = STUDIES.iter().map(|(n, _)| *n).collect();
         args.reject(

@@ -105,8 +105,8 @@ pub enum UsageError {
     InvalidValue(&'static str, String, String),
     /// A positional argument the binary does not take.
     UnexpectedArgument(String),
-    /// The operand is missing.
-    MissingOperand(&'static str),
+    /// The operand, or a flag the binary cannot run without, is missing.
+    Missing(&'static str),
 }
 
 impl UsageError {
@@ -126,7 +126,7 @@ impl fmt::Display for UsageError {
                 write!(f, "invalid {flag} `{value}`: {reason}")
             }
             UsageError::UnexpectedArgument(arg) => write!(f, "unexpected argument `{arg}`"),
-            UsageError::MissingOperand(name) => write!(f, "missing {name}"),
+            UsageError::Missing(name) => write!(f, "missing {name}"),
         }
     }
 }
@@ -276,10 +276,10 @@ fn exit_with(flags: &[Flag], error: UsageError) -> ! {
 ///
 /// # Errors
 ///
-/// [`UsageError::MissingOperand`] without an operand;
+/// [`UsageError::Missing`] without an operand;
 /// [`UsageError::InvalidValue`] naming the known models when none matches.
 pub fn zoo_model(args: &Args) -> Result<cim_models::ModelInfo, UsageError> {
-    let missing = UsageError::MissingOperand(MODEL.name);
+    let missing = UsageError::Missing(MODEL.name);
     let name = args.operand().ok_or(missing)?;
     let zoo = cim_models::all_models();
     if let Some(info) = zoo.iter().find(|m| m.name.eq_ignore_ascii_case(name)) {
@@ -367,7 +367,7 @@ mod tests {
             Err(UsageError::UnexpectedArgument("VGG19".into()))
         );
         let args = parse(WITH_MODEL, &argv(&["--json", "x"])).unwrap();
-        assert_eq!(zoo_model(&args), Err(UsageError::MissingOperand("<model>")));
+        assert_eq!(zoo_model(&args), Err(UsageError::Missing("<model>")));
         let args = parse(WITH_MODEL, &argv(&["--json", "x", "vgg16"])).unwrap();
         assert_eq!(args.operand(), Some("vgg16"));
         assert_eq!(zoo_model(&args).map(|m| m.name), Ok("VGG16"));

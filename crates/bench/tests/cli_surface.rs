@@ -88,7 +88,6 @@ const BINARIES: &[(&str, &[&str])] = &[
             "--extra-pes",
             "--jobs",
             "--json",
-            "--bench",
             "--mix-sweep",
             "--cache-dir",
             "--fault-seed",
@@ -133,6 +132,8 @@ fn unknown_flag_exits_2_and_names_it() {
             &["--definitely-not-a-flag"],
         );
     }
+    let fabric_sim = env!("CARGO_BIN_EXE_fabric-sim");
+    assert_usage_error(fabric_sim, &["--bench"], &["unknown flag `--bench`"]);
 }
 
 #[test]

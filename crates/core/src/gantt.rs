@@ -36,36 +36,6 @@ pub fn gantt_rows(layers: &[LayerSets], schedule: &Schedule) -> Vec<GanttRow> {
         .collect()
 }
 
-/// Renders the schedule as CSV (`layer,logical,pes,set,start,finish`) for
-/// external plotting — every set becomes one record.
-///
-/// # Examples
-///
-/// ```
-/// # use clsa_core::{gantt_csv, Schedule, SetTime, LayerSets, OfmSet};
-/// # use cim_ir::{FeatureShape, NodeId, Rect};
-/// let layers = vec![LayerSets {
-///     node: NodeId(1), name: "conv".into(), logical: 1,
-///     ofm: FeatureShape::new(1, 4, 8), pes: 2, quantum: 1,
-///     sets: vec![OfmSet { rect: Rect::new(0, 0, 0, 3), duration: 4 }],
-/// }];
-/// let s = Schedule::from_nested(vec![vec![SetTime { start: 0, finish: 4 }]], 4);
-/// let csv = gantt_csv(&layers, &s);
-/// assert!(csv.lines().nth(1).unwrap().starts_with("conv,1,2,0,0,4"));
-/// ```
-pub fn gantt_csv(layers: &[LayerSets], schedule: &Schedule) -> String {
-    let mut out = String::from("layer,logical,pes,set,start,finish\n");
-    for (l, times) in layers.iter().zip(schedule.iter_layers()) {
-        for (si, t) in times.iter().enumerate() {
-            out.push_str(&format!(
-                "{},{},{},{si},{},{}\n",
-                l.name, l.logical, l.pes, t.start, t.finish
-            ));
-        }
-    }
-    out
-}
-
 /// Renders a text Gantt chart, one row per layer, `width` characters of
 /// timeline. Active spans are drawn with `█`, idle time with `·`.
 ///
@@ -215,16 +185,5 @@ mod tests {
         let s = Schedule::from_nested(vec![], 0);
         let chart = gantt_text(&layers, &s, 20);
         assert!(chart.contains("timeline"));
-    }
-
-    #[test]
-    fn csv_lists_every_set() {
-        let (layers, s) = fixture();
-        let csv = gantt_csv(&layers, &s);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "layer,logical,pes,set,start,finish");
-        assert_eq!(lines.len(), 1 + 3, "header + three sets");
-        assert_eq!(lines[1], "conv_a,1,3,0,0,4");
-        assert_eq!(lines[3], "conv_b,2,1,0,8,12");
     }
 }

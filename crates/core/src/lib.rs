@@ -84,8 +84,8 @@ pub use diagnose::{
     analyze_costed, capacity_diagnostics, is_validation_code, ScheduleDiagnostic, Severity,
 };
 pub use error::{CoreError, Result};
-pub use gantt::{gantt_csv, gantt_rows, gantt_text, GanttRow};
-pub use incremental::{run_incremental, IncrementalRun, Invalidation, PipelineStage, StageStatus};
+pub use gantt::{gantt_rows, gantt_text, GanttRow};
+pub use incremental::{Invalidation, PipelineStage, StageStatus};
 pub use metrics::{
     eq3_predicted_from_utilization, eq3_predicted_speedup, speedup, utilization, UtilizationReport,
 };

@@ -361,18 +361,28 @@ mod tests {
 
     #[test]
     fn contended_streams_slow_down() {
-        // Two identical streams under the Shared policy land on the same
-        // tiles and must serialize there.
-        let a = fig5_instance("fig5#0");
-        let b = fig5_instance("fig5#1");
-        let config = base_config(&[a.clone(), b.clone()]);
-        let result = run_mix(&[a, b], &config).unwrap();
-        assert!(
-            result.worst_slowdown_milli > 1000,
-            "shared tiles must contend: {result:?}"
-        );
-        let stalls: u64 = result.tenants.iter().map(|t| t.occupancy_stall_cycles).sum();
-        assert!(stalls > 0, "contention must register as occupancy stalls");
+        // Identical streams under the Shared policy land on the same
+        // tiles and must serialize there: n streams take n times as long.
+        let base = fig5_instance("fig5");
+        let points = [(1, 1000, 72), (2, 2000, 144), (4, 4000, 288)];
+        for (streams, slowdown_milli, makespan) in points {
+            let spec = TenantSpec {
+                model: "fig5".into(),
+                streams,
+            };
+            let mix = base.streams_of(&spec);
+            let result = run_mix(&mix, &base_config(&mix)).unwrap();
+            let at = format!("{streams} streams: {result:?}");
+            assert_eq!(result.worst_slowdown_milli, slowdown_milli, "{at}");
+            assert_eq!(result.makespan_cycles, makespan, "{at}");
+            // Contention must register as occupancy stalls.
+            let stalls: u64 = result
+                .tenants
+                .iter()
+                .map(|t| t.occupancy_stall_cycles)
+                .sum();
+            assert_eq!(stalls > 0, streams > 1, "{at}");
+        }
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! * [`Tensor`] and [`Executor`] — a dense `f32` tensor plus a reference CPU
 //!   executor used to prove that graph rewrites (batch-norm folding, weight
 //!   duplication) preserve numerics ([`tensor`], [`exec`]).
-//! * [`to_dot`] — Graphviz export for debugging and figures ([`dot`]).
 //!
 //! # Examples
 //!
@@ -49,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dot;
 pub mod error;
 pub mod exec;
 pub mod graph;
@@ -58,7 +56,6 @@ pub mod region;
 pub mod shape;
 pub mod tensor;
 
-pub use dot::to_dot;
 pub use error::{IrError, Result};
 pub use exec::Executor;
 pub use graph::{BnParams, Graph, Node, NodeId, Params};

@@ -34,8 +34,8 @@
 //!   backoff-and-reconnect retries ([`RetryPolicy`]).
 //!
 //! Binaries: `cim-serve` (the daemon) and `serve-bench` (a client
-//! driver measuring sustained cold/warm requests per second into
-//! `BENCH_serve.json`).
+//! driver that runs one pass against a running daemon and reports its
+//! requests per second, p50/p99 and warm hits).
 //!
 //! # Examples
 //!

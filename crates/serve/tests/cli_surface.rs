@@ -1,10 +1,11 @@
 //! The command-line contract of `cim-serve` and `serve-bench`: `--help`
-//! exits 0, lists each flag and runs nothing; an unknown flag exits 2
-//! with an error naming it.
+//! exits 0, lists each flag and runs nothing; an unknown flag (and, for
+//! `serve-bench`, a missing `--connect`) exits 2 with an error naming it;
+//! a pass the daemon answers with errors exits 1 without panicking.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
-const CIM_SERVE_FLAGS: &[&str] = &[
+const DAEMON_FLAGS: &[&str] = &[
     "--socket",
     "--tcp",
     "--max-queue",
@@ -18,12 +19,9 @@ const CIM_SERVE_FLAGS: &[&str] = &[
     "--fault-delay-ms",
 ];
 
-const SERVE_BENCH_FLAGS: &[&str] = &[
+const DRIVER_FLAGS: &[&str] = &[
     "--requests",
     "--model",
-    "--jobs",
-    "--cache-dir",
-    "--json",
     "--connect",
     "--replies",
     "--shutdown",
@@ -38,7 +36,9 @@ fn scratch_cwd(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn check(tag: &str, exe: &str, flags: &[&str]) {
+/// Runs `exe --help` and each rejected argument list (with the text its
+/// error must name) in an empty directory.
+fn check(tag: &str, exe: &str, flags: &[&str], rejected: &[(&[&str], &str)]) {
     let cwd = scratch_cwd(tag);
     let help = Command::new(exe)
         .arg("--help")
@@ -58,22 +58,17 @@ fn check(tag: &str, exe: &str, flags: &[&str]) {
             "{exe} --help does not list {flag}:\n{stdout}"
         );
     }
-    assert!(
-        !cwd.join("BENCH_serve.json").exists(),
-        "{exe} --help ran the benchmark and wrote BENCH_serve.json"
-    );
 
-    let bad = Command::new(exe)
-        .arg("--definitely-not-a-flag")
-        .current_dir(&cwd)
-        .output()
-        .expect("spawns");
-    let stderr = String::from_utf8_lossy(&bad.stderr);
-    assert_eq!(bad.status.code(), Some(2), "{exe}: {stderr}");
-    assert!(
-        stderr.contains("--definitely-not-a-flag"),
-        "{exe}: {stderr}"
-    );
+    for (args, named) in rejected {
+        let bad = Command::new(exe)
+            .args(*args)
+            .current_dir(&cwd)
+            .output()
+            .expect("spawns");
+        let stderr = String::from_utf8_lossy(&bad.stderr);
+        assert_eq!(bad.status.code(), Some(2), "{exe} {args:?}: {stderr}");
+        assert!(stderr.contains(named), "{exe} {args:?}: {stderr}");
+    }
     let left = std::fs::read_dir(&cwd).expect("cwd readable").count();
     assert_eq!(left, 0, "{exe} left files behind");
     let _ = std::fs::remove_dir_all(&cwd);
@@ -81,7 +76,12 @@ fn check(tag: &str, exe: &str, flags: &[&str]) {
 
 #[test]
 fn cim_serve_cli_surface() {
-    check("daemon", env!("CARGO_BIN_EXE_cim-serve"), CIM_SERVE_FLAGS);
+    check(
+        "daemon",
+        env!("CARGO_BIN_EXE_cim-serve"),
+        DAEMON_FLAGS,
+        &[(&["--definitely-not-a-flag"], "--definitely-not-a-flag")],
+    );
 }
 
 #[test]
@@ -89,6 +89,41 @@ fn serve_bench_cli_surface() {
     check(
         "bench",
         env!("CARGO_BIN_EXE_serve-bench"),
-        SERVE_BENCH_FLAGS,
+        DRIVER_FLAGS,
+        &[
+            (&["--definitely-not-a-flag"], "--definitely-not-a-flag"),
+            (&["--json", "x"], "--json"),
+            (&[], "missing --connect"),
+        ],
     );
+}
+
+#[test]
+fn serve_bench_exits_1_when_the_daemon_answers_with_errors() {
+    let cwd = scratch_cwd("errors");
+    let socket = cwd.join("cim.sock");
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_cim-serve"))
+        .arg("--socket")
+        .arg(&socket)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("daemon spawns");
+    let bench = Command::new(env!("CARGO_BIN_EXE_serve-bench"))
+        .arg("--connect")
+        .arg(&socket)
+        .args(["--model", "nosuch", "--requests", "2", "--shutdown"])
+        .output()
+        .expect("serve-bench spawns");
+    let stderr = String::from_utf8_lossy(&bench.stderr);
+    let reported = stderr.contains("serve-bench: 2 of 2 requests failed");
+    // A pass that got as far as the error report also sent --shutdown;
+    // any other outcome leaves the daemon running.
+    if !reported {
+        let _ = daemon.kill();
+    }
+    let _ = daemon.wait();
+    assert_eq!(bench.status.code(), Some(1), "serve-bench: {stderr}");
+    assert!(reported, "serve-bench: {stderr}");
+    let _ = std::fs::remove_dir_all(&cwd);
 }

@@ -2,7 +2,7 @@
 //! them, and run the lint over everything.
 //!
 //! The walk deliberately excludes `vendor/` — the offline stand-ins mirror
-//! *external* crates' public APIs (`rand`, `proptest`, `criterion`, …),
+//! *external* crates' public APIs (`rand`, `proptest`, `parking_lot`, …),
 //! which legitimately use wall clocks and hash maps; the determinism
 //! contract this linter enforces is about the workspace's own code. It
 //! also skips `target/` and dot-directories.

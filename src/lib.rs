@@ -61,7 +61,7 @@
 //! ```
 //!
 //! External dependencies (`serde`, `serde_json`, `rand`, `parking_lot`,
-//! `proptest`, `criterion`) are vendored under `vendor/` as minimal offline
+//! `proptest`) are vendored under `vendor/` as minimal offline
 //! stand-ins implementing exactly the API surface this workspace uses; see
 //! each `vendor/*/src/lib.rs` header for the differences vs. the real
 //! crates. Swapping a stand-in for the real crate is a one-line change in
@@ -92,8 +92,9 @@
 //!
 //! Every table and figure has a dedicated binary in `cim-bench`
 //! (`cargo run --release -p cim-bench --bin table1|table2|fig5_minimal|`
-//! `fig6|fig7|...`), each accepting `--json <path>` for record export; the
-//! criterion-style micro-benchmarks live in `crates/bench/benches/`.
+//! `fig6|fig7|...`), each accepting `--json <path>` for record export. The
+//! repository benchmark is the standalone `perfbench/` crate (see
+//! `perfbench/NOTES.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
