@@ -7,6 +7,20 @@
 //! [`cim_ir::input_region`]; a producer set is a dependency iff the
 //! propagated rectangle intersects it.
 //!
+//! # Producer-range lookup
+//!
+//! Stage I cuts every OFM into row bands ordered top to bottom, so within
+//! a layer both `y0` and `y1` are non-decreasing and the sets sharing a row
+//! with a propagated rectangle form one contiguous run. Two binary searches
+//! ([`slice::partition_point`]) find that run, and only its sets are tested
+//! with [`Rect::intersects`] (which still checks the columns): the cost is
+//! `O(log sets + edges)` per propagated rectangle rather than a scan of
+//! every producer set. The ordering is a checked precondition —
+//! [`determine_dependencies`] verifies it once per layer and rejects a
+//! layer that breaks it with [`CoreError::StageMismatch`]; there is no
+//! scanning fallback. The full scan lives on only as the oracle
+//! [`reference::determine_dependencies_naive`](crate::reference::determine_dependencies_naive).
+//!
 //! One producer set can influence multiple consumer sets (the paper's `Q`
 //! relation) and one consumer set can require multiple producer sets (`P`).
 //!
@@ -21,7 +35,7 @@
 //! `fan_in`, `fan_out`) and the serde format (the nested `deps` array) are
 //! unchanged.
 
-use cim_ir::{input_region, Graph, NodeId, Op, Rect};
+use cim_ir::{input_region, FeatureShape, Graph, Node, NodeId, Rect};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::error::{CoreError, Result};
@@ -265,10 +279,16 @@ impl Deserialize for Dependencies {
 
 /// Runs Stage II on the Stage-I output.
 ///
+/// Every layer's sets must be row bands ordered top to bottom — `y0` and
+/// `y1` each non-decreasing, as [`determine_sets`](crate::determine_sets)
+/// emits them — because each producer lookup is a binary search over that
+/// order.
+///
 /// # Errors
 ///
 /// Returns [`CoreError::StageMismatch`] when `layers` does not correspond to
-/// `graph` and propagates graph access errors.
+/// `graph` or a layer's sets are not ordered row bands, and propagates graph
+/// access errors.
 ///
 /// # Examples
 ///
@@ -283,8 +303,37 @@ pub fn determine_dependencies(graph: &Graph, layers: &[LayerSets]) -> Result<Dep
                 detail: format!("layer entry `{}` is not a base layer", l.name),
             });
         }
+        if let Some(s) = l
+            .sets
+            .windows(2)
+            .position(|w| w[1].rect.y0 < w[0].rect.y0 || w[1].rect.y1 < w[0].rect.y1)
+        {
+            return Err(CoreError::StageMismatch {
+                detail: format!(
+                    "layer `{}`: set {} starts or ends above set {s}; Stage II needs row bands ordered top to bottom",
+                    l.name,
+                    s + 1
+                ),
+            });
+        }
         layer_of[l.node.index()] = i;
     }
+    // Every node's input shapes, built once for all propagation steps.
+    let in_shapes = graph
+        .iter()
+        .map(|n| {
+            n.inputs
+                .iter()
+                .map(|&i| graph.node(i).map(|x| x.out_shape))
+                .collect()
+        })
+        .collect::<std::result::Result<_, _>>()?;
+    let walk = Walk {
+        graph,
+        layers,
+        layer_of,
+        in_shapes,
+    };
 
     let space = SetSpace::of_layers(layers);
     let mut offsets = Vec::with_capacity(space.total_sets() + 1);
@@ -297,19 +346,10 @@ pub fn determine_dependencies(graph: &Graph, layers: &[LayerSets]) -> Result<Dep
 
     for layer in layers {
         let node = graph.node(layer.node)?;
-        let in_shapes: Vec<_> = node
-            .inputs
-            .iter()
-            .map(|&i| graph.node(i).map(|n| n.out_shape))
-            .collect::<std::result::Result<_, _>>()?;
         for set in &layer.sets {
             // The IFM region this conv/dense set needs.
             scratch.clear();
-            for (idx, &inp) in node.inputs.iter().enumerate() {
-                if let Some(r) = input_region(&node.op, set.rect, &in_shapes, idx, node.out_shape) {
-                    back_propagate(graph, &layer_of, layers, inp, r, &mut scratch)?;
-                }
-            }
+            walk.producers_of(node, set.rect, &mut scratch)?;
             scratch.sort_unstable();
             scratch.dedup();
             producers.extend_from_slice(&scratch);
@@ -323,56 +363,88 @@ pub fn determine_dependencies(graph: &Graph, layers: &[LayerSets]) -> Result<Dep
     })
 }
 
-/// Propagates `rect` (a region of `node`'s output) backwards until base
-/// layers or graph inputs are reached, recording intersecting producer sets
-/// (possibly with duplicates — the caller sort-dedups the scratch buffer).
-fn back_propagate(
-    graph: &Graph,
-    layer_of: &[usize],
-    layers: &[LayerSets],
-    node: NodeId,
-    rect: Rect,
-    found: &mut Vec<SetRef>,
-) -> Result<()> {
-    let n = graph.node(node)?;
-    if n.op.is_base() {
-        let li = layer_of[node.index()];
-        if li == usize::MAX {
-            return Err(CoreError::StageMismatch {
-                detail: format!("base layer `{}` has no Stage-I sets", n.name),
-            });
-        }
-        for (si, set) in layers[li].sets.iter().enumerate() {
-            if set.rect.intersects(&rect) {
-                found.push(SetRef { layer: li, set: si });
+/// The read-only state of one Stage-II run's backward walks.
+struct Walk<'a> {
+    graph: &'a Graph,
+    layers: &'a [LayerSets],
+    /// Node index → Stage-I layer index (`usize::MAX` for non-base nodes).
+    layer_of: Vec<usize>,
+    /// Node index → the output shapes of its inputs.
+    in_shapes: Vec<Vec<FeatureShape>>,
+}
+
+impl Walk<'_> {
+    /// Records the producer sets that region `rect` of base layer `node`'s
+    /// output reads, walking back from each of the node's inputs.
+    fn producers_of(&self, node: &Node, rect: Rect, found: &mut Vec<SetRef>) -> Result<()> {
+        let in_shapes = &self.in_shapes[node.id.index()];
+        for (idx, &inp) in node.inputs.iter().enumerate() {
+            if let Some(r) = input_region(&node.op, rect, in_shapes, idx, node.out_shape) {
+                self.back_propagate(inp, r, found)?;
             }
         }
-        return Ok(());
+        Ok(())
     }
-    if matches!(n.op, Op::Input { .. }) {
-        return Ok(());
-    }
-    let in_shapes: Vec<_> = n
-        .inputs
-        .iter()
-        .map(|&i| graph.node(i).map(|x| x.out_shape))
-        .collect::<std::result::Result<_, _>>()?;
-    for (idx, &inp) in n.inputs.iter().enumerate() {
-        if let Some(r) = input_region(&n.op, rect, &in_shapes, idx, n.out_shape) {
-            back_propagate(graph, layer_of, layers, inp, r, found)?;
+
+    /// Propagates `rect` (a region of `node`'s output) backwards until base
+    /// layers or graph inputs are reached, recording intersecting producer
+    /// sets (possibly with duplicates — the caller sort-dedups the scratch
+    /// buffer).
+    fn back_propagate(
+        &self,
+        mut node: NodeId,
+        mut rect: Rect,
+        found: &mut Vec<SetRef>,
+    ) -> Result<()> {
+        loop {
+            let n = self.graph.node(node)?;
+            if n.op.is_base() {
+                let li = self.layer_of[node.index()];
+                if li == usize::MAX {
+                    return Err(CoreError::StageMismatch {
+                        detail: format!("base layer `{}` has no Stage-I sets", n.name),
+                    });
+                }
+                // Ordered bands: the sets sharing a row with `rect` are one
+                // contiguous run; `intersects` still checks the columns.
+                let sets = &self.layers[li].sets;
+                let lo = sets.partition_point(|s| s.rect.y1 < rect.y0);
+                let hi = lo + sets[lo..].partition_point(|s| s.rect.y0 <= rect.y1);
+                for (si, set) in (lo..hi).zip(&sets[lo..hi]) {
+                    if set.rect.intersects(&rect) {
+                        found.push(SetRef { layer: li, set: si });
+                    }
+                }
+                return Ok(());
+            }
+            // A graph input has no inputs: the walk ends there.
+            let Some((&last, rest)) = n.inputs.split_last() else {
+                return Ok(());
+            };
+            let in_shapes = &self.in_shapes[node.index()];
+            for (idx, &inp) in rest.iter().enumerate() {
+                if let Some(r) = input_region(&n.op, rect, in_shapes, idx, n.out_shape) {
+                    self.back_propagate(inp, r, found)?;
+                }
+            }
+            // Follow the last input in place, so a chain of single-input
+            // operations costs no recursion.
+            match input_region(&n.op, rect, in_shapes, rest.len(), n.out_shape) {
+                Some(r) => (node, rect) = (last, r),
+                None => return Ok(()),
+            }
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cim_arch::CrossbarSpec;
-    use cim_ir::{ActFn, Conv2dAttrs, FeatureShape, PadSpec, Padding, PoolAttrs};
+    use cim_ir::{ActFn, Conv2dAttrs, Op, PadSpec, Padding, PoolAttrs};
     use cim_mapping::{layer_costs, MappingOptions};
 
-    use crate::sets::{determine_sets, SetPolicy};
+    use crate::sets::{determine_sets, OfmSet, SetPolicy};
 
     fn conv_op(oc: usize, k: usize, st: usize) -> Op {
         Op::Conv2d(Conv2dAttrs {
@@ -652,6 +724,38 @@ mod tests {
             determine_dependencies(&g, &layers),
             Err(CoreError::StageMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn unordered_bands_rejected_naming_the_layer() {
+        let g = fig5_graph();
+        let (layers, _) = stages(&g, &SetPolicy::finest());
+        // conv1 (8×8) is cut into rows 0-1, 2-3, 4-5 and 6-7.
+        let band = |y0, y1| {
+            let rect = Rect::new(y0, 0, y1, 7);
+            OfmSet {
+                rect,
+                duration: rect.area() as u64,
+            }
+        };
+        let out_of_order = vec![band(2, 3), band(0, 1), band(4, 5), band(6, 7)];
+        // Overlapping and non-monotone: the second band ends below the third.
+        let nested = vec![band(0, 1), band(0, 7), band(4, 5), band(6, 7)];
+        for sets in [out_of_order, nested] {
+            let mut bad = layers.clone();
+            bad[0].sets = sets;
+            let err = determine_dependencies(&g, &bad).unwrap_err();
+            assert!(matches!(err, CoreError::StageMismatch { .. }), "{err}");
+            assert!(err.to_string().contains("`conv1`"), "{err}");
+        }
+        // Overlapping bands that stay ordered are accepted, with the
+        // full-scan oracle's edges.
+        let mut overlapping = layers.clone();
+        overlapping[0].sets = vec![band(0, 3), band(2, 5), band(4, 7), band(6, 7)];
+        assert_eq!(
+            determine_dependencies(&g, &overlapping).unwrap(),
+            crate::reference::determine_dependencies_naive(&g, &overlapping).unwrap()
+        );
     }
 
     #[test]

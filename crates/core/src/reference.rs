@@ -5,9 +5,9 @@
 //! tables, per-edge [`EdgeCost::cycles`] calls inside the scheduling inner
 //! loops, per-set `HashSet` allocation in the dependency analysis. They are
 //! deliberately *not* optimized — their job is to stay obviously correct so
-//! the differential property suite (`tests/csr_differential.rs`) and the
-//! `schedule_core` benchmarks can compare the flat/precomputed hot paths
-//! against them on random DAGs, real models, and every cost model.
+//! the differential property suite (`tests/csr_differential.rs`) can
+//! compare the flat/precomputed hot paths against them on random DAGs,
+//! real models, and every cost model.
 
 
 // cim-lint: allow-file(hash-collection) the pre-CSR reference implementation is kept verbatim as the differential-testing oracle
@@ -139,6 +139,10 @@ pub fn batched_cross_layer_schedule_naive(
 /// Reference Stage II: per-set `HashSet` accumulation (the pre-CSR
 /// implementation of
 /// [`determine_dependencies`](crate::determine_dependencies)).
+///
+/// It is also the full-scan oracle for the optimized analysis's
+/// producer-range lookup: it tests every set of every reached producer
+/// layer, so it needs no ordering of the sets.
 ///
 /// # Errors
 ///

@@ -89,7 +89,9 @@ pub struct LayerSets {
     pub pes: usize,
     /// Row quantum used for alignment.
     pub quantum: usize,
-    /// The sets, ordered top row band first.
+    /// The sets, ordered top row band first. Stage II relies on this
+    /// order (`y0` and `y1` non-decreasing) for its producer-range lookup
+    /// and rejects layers that break it.
     pub sets: Vec<OfmSet>,
 }
 
