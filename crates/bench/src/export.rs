@@ -106,7 +106,7 @@ impl CommonArgs {
     }
 
     /// The chaos plan as the trait object the batch runners take.
-    pub fn fault_hook(&self) -> Option<std::sync::Arc<dyn crate::runner::FaultHook>> {
+    fn fault_hook(&self) -> Option<std::sync::Arc<dyn crate::runner::FaultHook>> {
         self.faults
             .as_ref()
             .map(|p| p.clone() as std::sync::Arc<dyn crate::runner::FaultHook>)
@@ -116,7 +116,7 @@ impl CommonArgs {
     /// `--resume`), printing resume accounting. `None` without a cache
     /// dir — there is no store to resume from — or if the journal cannot
     /// be created (a warning is printed; the sweep itself proceeds).
-    pub fn open_journal(
+    fn open_journal(
         &self,
         jobs: &[crate::runner::SweepJob],
         shard_tag: Option<&str>,

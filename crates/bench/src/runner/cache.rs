@@ -23,9 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use cim_ir::Graph;
-use clsa_core::{
-    prepare, run_prepared, CoreError, Invalidation, PipelineStage, Prepared, RunConfig, RunResult,
-};
+use clsa_core::{prepare, run_prepared, CoreError, Prepared, RunConfig, RunResult};
 use parking_lot::Mutex;
 
 use super::fingerprint::CacheKey;
@@ -96,7 +94,9 @@ fn get_or_compute<T>(
 ) -> Result<Arc<T>, CoreError> {
     let slot = Arc::clone(map.lock().entry(key).or_default());
     slot.get_or_init(|| {
-        computes.fetch_add(1, Ordering::Relaxed);
+        // Release: publishes the caller's earlier lookup increment to any
+        // `stats()` that acquires this count (see there).
+        computes.fetch_add(1, Ordering::Release);
         compute().map(Arc::new)
     })
     .clone()
@@ -157,40 +157,6 @@ impl ScheduleCache {
         )
     }
 
-    /// Incremental re-evaluation through the cache: classifies the
-    /// mutation `old -> new` with the dirty-key protocol
-    /// ([`Invalidation::between`]) and resolves `new` through the normal
-    /// two-level lookup — by construction, a mutation whose `Prepare`
-    /// stage is *clean* maps to the same stage key, so the prepare
-    /// artifacts are served from the stage cache (a stage hit, `Arc`s
-    /// shared) instead of recomputed. The returned report says which
-    /// stages were dirty and why.
-    ///
-    /// Both configs must be for the `(model_fp, graph)` pair. In debug
-    /// builds the classification is cross-checked against the fingerprint
-    /// keys: `Prepare` clean ⟺ equal stage [`CacheKey`] — the two views
-    /// are built from the same `RunConfig` facets and must never drift.
-    ///
-    /// # Errors
-    ///
-    /// Propagates (and caches) pipeline errors for the new key.
-    pub fn run_incremental(
-        &self,
-        model_fp: u64,
-        graph: &Graph,
-        old: &RunConfig,
-        new: &RunConfig,
-    ) -> Result<(Arc<RunResult>, Invalidation), CoreError> {
-        let invalidation = Invalidation::between(old, new);
-        debug_assert_eq!(
-            !invalidation.is_dirty(PipelineStage::Prepare),
-            CacheKey::stages(model_fp, old) == CacheKey::stages(model_fp, new),
-            "dirty-key classification and stage fingerprints disagree: {invalidation}"
-        );
-        let result = self.run(model_fp, graph, new)?;
-        Ok((result, invalidation))
-    }
-
     /// Non-blocking probe of the schedule level: returns the memoized
     /// result for `key` if — and only if — a computation for it already
     /// completed successfully. Never computes, never waits on an
@@ -204,12 +170,21 @@ impl ScheduleCache {
     }
 
     /// Snapshot of the lookup/compute counters.
+    ///
+    /// Every compute is preceded, on its own thread, by the lookup that
+    /// triggered it. Each `*_computes` count is therefore loaded (Acquire,
+    /// pairing with the Release increment) *before* its `*_lookups` count:
+    /// the lookups behind every counted compute are then visible, so
+    /// `computes <= lookups` holds in every snapshot and the `*_hits`
+    /// subtractions cannot underflow while workers are running.
     pub fn stats(&self) -> CacheStats {
+        let stage_computes = self.stage_computes.load(Ordering::Acquire);
+        let schedule_computes = self.schedule_computes.load(Ordering::Acquire);
         CacheStats {
             stage_lookups: self.stage_lookups.load(Ordering::Relaxed),
-            stage_computes: self.stage_computes.load(Ordering::Relaxed),
+            stage_computes,
             schedule_lookups: self.schedule_lookups.load(Ordering::Relaxed),
-            schedule_computes: self.schedule_computes.load(Ordering::Relaxed),
+            schedule_computes,
         }
     }
 }
@@ -241,28 +216,26 @@ mod tests {
         old.noc_cost = true;
         let first = cache.run(fp, &g, &old).unwrap();
 
-        // Scheduling-side axis mutation (NoC hop latency): Prepare clean.
+        // Scheduling-side axis mutation (NoC hop latency): prepare facets
+        // unchanged, so the stage entry is shared.
         let mut new = old.clone();
         new.arch = arch_with_hop(4);
-        let (second, inv) = cache.run_incremental(fp, &g, &old, &new).unwrap();
-        assert!(!inv.is_dirty(clsa_core::PipelineStage::Prepare), "{inv}");
-        assert!(inv.is_dirty(clsa_core::PipelineStage::Schedule));
+        let second = cache.run(fp, &g, &new).unwrap();
         assert!(
             Arc::ptr_eq(&first.mapped_graph, &second.mapped_graph),
-            "undirtied stage artifacts must be shared, not recomputed"
+            "unchanged prepare facets must share stage artifacts, not recompute them"
         );
         let stats = cache.stats();
         assert_eq!(stats.stage_computes, 1, "prepare ran once across the mutation");
         assert_eq!(stats.stage_hits(), 1, "the mutated config hit the stage cache");
-        assert_eq!(stats.schedule_computes, 2, "the schedule itself was dirty");
+        assert_eq!(stats.schedule_computes, 2, "the schedule itself was recomputed");
 
-        // Mapping-side axis mutation (set policy): Prepare dirty.
+        // Mapping-side axis mutation (set policy): the stage recomputes.
         let mut coarse = new.clone();
         coarse.set_policy = clsa_core::SetPolicy::coarse(1);
-        let (third, inv) = cache.run_incremental(fp, &g, &new, &coarse).unwrap();
-        assert!(inv.is_dirty(clsa_core::PipelineStage::Prepare), "{inv}");
+        let third = cache.run(fp, &g, &coarse).unwrap();
         assert!(!Arc::ptr_eq(&second.mapped_graph, &third.mapped_graph));
-        assert_eq!(cache.stats().stage_computes, 2, "dirty prepare recomputed");
+        assert_eq!(cache.stats().stage_computes, 2, "changed prepare facets recompute");
     }
 
     #[test]
@@ -355,5 +328,54 @@ mod tests {
         assert_eq!(stats.schedule_computes, 2, "one compute per distinct config");
         assert_eq!(stats.stage_computes, 1, "one stage compute for both configs");
         assert_eq!(stats.hits(), 14 + 1);
+    }
+
+    #[test]
+    fn stats_snapshots_never_count_more_computes_than_lookups() {
+        let g = cim_models::fig5_example();
+        let fp = fingerprint(&g);
+        let cache = ScheduleCache::new();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let (cache, g) = (&cache, &g);
+                    scope.spawn(move || {
+                        // Every (pes, hop) pair is a distinct schedule key;
+                        // the pes values are distinct stage keys that the
+                        // four workers race on.
+                        for pes in 2..27 {
+                            let arch = Architecture::builder()
+                                .tile(TileSpec::isaac_like())
+                                .noc_hop_latency(t)
+                                .pes(pes)
+                                .build()
+                                .unwrap();
+                            cache.run(fp, g, &RunConfig::baseline(arch)).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            let poller = scope.spawn(|| {
+                loop {
+                    let finished = done.load(Ordering::Acquire);
+                    let s = cache.stats();
+                    assert!(s.stage_computes <= s.stage_lookups, "torn snapshot {s:?}");
+                    assert!(s.schedule_computes <= s.schedule_lookups, "torn snapshot {s:?}");
+                    if finished {
+                        break;
+                    }
+                }
+            });
+            for w in workers {
+                w.join().unwrap();
+            }
+            done.store(true, Ordering::Release);
+            poller.join().unwrap();
+        });
+        let stats = cache.stats();
+        assert_eq!(stats.schedule_computes, 100);
+        assert_eq!(stats.stage_computes, 25);
+        assert_eq!(stats.stage_hits(), 75);
     }
 }

@@ -196,7 +196,7 @@ impl FaultPlan {
     }
 
     /// Total faults fired across all sites.
-    pub fn total_fired(&self) -> u64 {
+    fn total_fired(&self) -> u64 {
         FAULT_SITES.iter().map(|&s| self.fired(s)).sum()
     }
 

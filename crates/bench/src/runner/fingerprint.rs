@@ -131,10 +131,10 @@ impl CacheKey {
     /// only in scheduling-side hardware (NoC hop latency, tile GPEUs)
     /// and every scheduling variant over one mapping share the entry.
     ///
-    /// The facets come from [`RunConfig::prepare_arch_facet`] — the same
-    /// accessor the dirty-key protocol (`clsa_core::Invalidation`)
-    /// classifies with, so "`Prepare` is clean" and "the stage key is
-    /// unchanged" are one fact, not two that could drift apart.
+    /// The facets come from [`RunConfig::prepare_arch_facet`] and
+    /// [`RunConfig::mapping_facet`], so two configs share a stage entry
+    /// exactly when those facets are equal
+    /// (`tests/incremental_differential.rs` pins this).
     pub fn stages(model: u64, config: &RunConfig) -> Self {
         CacheKey {
             model,

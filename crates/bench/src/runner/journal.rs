@@ -86,10 +86,10 @@ impl SweepJournal {
     ///
     /// With `resume = false` any existing journal is discarded and a
     /// fresh one is started. With `resume = true` an existing journal
-    /// whose header matches this job list is replayed (completed indices
-    /// become [`is_completed`](Self::is_completed)); a missing, torn, or
-    /// mismatching journal falls back to a fresh start — resuming the
-    /// wrong sweep would be worse than restarting.
+    /// whose header matches this job list is replayed (its completed
+    /// indices count toward [`resumed_count`](Self::resumed_count)); a
+    /// missing, torn, or mismatching journal falls back to a fresh start —
+    /// resuming the wrong sweep would be worse than restarting.
     ///
     /// `shard` distinguishes concurrent slices of the same sharded sweep
     /// sharing one store directory; pass `None` for unsharded runs.
@@ -156,18 +156,6 @@ impl SweepJournal {
         self.resumed
     }
 
-    /// Completed indices known so far (replayed + marked this run).
-    pub fn completed_count(&self) -> usize {
-        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.done.len()
-    }
-
-    /// Was job `index` already completed (this run or a previous one)?
-    pub fn is_completed(&self, index: usize) -> bool {
-        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.done.contains(&index)
-    }
-
     /// Records job `index` as completed, appending and flushing one
     /// journal line. Idempotent; journal I/O failures are swallowed —
     /// the journal is accounting, never allowed to fail the sweep.
@@ -225,6 +213,20 @@ mod tests {
     use super::*;
     use crate::experiments::SweepOptions;
     use crate::runner::sweep::sweep_jobs;
+
+    impl SweepJournal {
+        /// Completed indices known so far (replayed + marked this run).
+        pub(crate) fn completed_count(&self) -> usize {
+            let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+            state.done.len()
+        }
+
+        /// Was job `index` already completed (this run or a previous one)?
+        fn is_completed(&self, index: usize) -> bool {
+            let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+            state.done.contains(&index)
+        }
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cim_journal_{tag}_{}", std::process::id()));

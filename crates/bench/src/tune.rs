@@ -92,7 +92,7 @@ impl<'a> TuneEvaluator<'a> {
     /// Fails when the candidate cannot even be keyed (its crossbar
     /// cannot map the model, or its architecture is invalid) — exactly
     /// the candidates every evaluation path counts as infeasible.
-    pub fn schedule_key(&self, candidate: &Candidate) -> Result<CacheKey, CoreError> {
+    fn schedule_key(&self, candidate: &Candidate) -> Result<CacheKey, CoreError> {
         let pe_min = self.pe_min.pe_min(self.graph, candidate)?;
         let config = candidate.run_config(pe_min)?;
         Ok(CacheKey::schedule(self.model_fp, &config))

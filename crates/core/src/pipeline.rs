@@ -104,10 +104,9 @@ impl RunConfig {
     /// architecture (tile geometry, NoC latency) only matters to the
     /// scheduling side — two configs with equal `prepare_arch_facet`s and
     /// equal [`mapping_facet`](Self::mapping_facet)s produce identical
-    /// stage artifacts. The dirty-key protocol
-    /// ([`Invalidation`](crate::Invalidation)) and `cim-bench`'s stage
-    /// cache key are both built on this accessor; widen it if [`prepare`]
-    /// ever reads more of the architecture.
+    /// stage artifacts. `cim-bench`'s stage cache key is built on this
+    /// accessor; widen it if [`prepare`] ever reads more of the
+    /// architecture.
     pub fn prepare_arch_facet(&self) -> (&CrossbarSpec, usize) {
         (self.arch.crossbar(), self.arch.total_pes())
     }

@@ -151,7 +151,8 @@ impl Schedule {
 
     /// The nested per-layer shape (allocates; prefer [`layer`](Self::layer)
     /// or [`iter_layers`](Self::iter_layers) on hot paths).
-    pub fn to_nested(&self) -> Vec<Vec<SetTime>> {
+    #[cfg(test)]
+    pub(crate) fn to_nested(&self) -> Vec<Vec<SetTime>> {
         (0..self.num_layers())
             .map(|l| self.layer(l).to_vec())
             .collect()
@@ -182,7 +183,8 @@ impl Schedule {
     /// # Panics
     ///
     /// Panics if the indices are out of range.
-    pub fn time_mut(&mut self, l: usize, s: usize) -> &mut SetTime {
+    #[cfg(test)]
+    pub(crate) fn time_mut(&mut self, l: usize, s: usize) -> &mut SetTime {
         &mut self.arena[self.space.index(l, s)]
     }
 

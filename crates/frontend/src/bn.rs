@@ -179,11 +179,6 @@ fn fold_into(
     Ok(())
 }
 
-/// Returns `true` if the graph still contains any batch-norm node.
-pub fn has_batch_norm(g: &cim_ir::Graph) -> bool {
-    g.iter().any(|n| matches!(n.op, Op::BatchNorm(_)))
-}
-
 
 #[cfg(test)]
 mod tests {
@@ -191,6 +186,11 @@ mod tests {
     use cim_ir::{
         BatchNormAttrs, BnParams, Conv2dAttrs, Executor, FeatureShape, Graph, Padding, Params,
     };
+
+    /// Returns `true` if the graph still contains any batch-norm node.
+    fn has_batch_norm(g: &Graph) -> bool {
+        g.iter().any(|n| matches!(n.op, Op::BatchNorm(_)))
+    }
 
     fn conv_attrs(oc: usize, use_bias: bool) -> Conv2dAttrs {
         Conv2dAttrs {

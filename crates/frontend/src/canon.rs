@@ -53,7 +53,7 @@ impl Canonical {
     ///
     /// Returns [`FrontendError::NotCanonical`] describing the first violated
     /// invariant.
-    pub fn try_new(graph: Graph) -> Result<Self> {
+    fn try_new(graph: Graph) -> Result<Self> {
         Self::verify(&graph)?;
         Ok(Self { graph })
     }

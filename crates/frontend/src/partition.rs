@@ -156,20 +156,20 @@ fn split_bias(params: Option<Params>) -> (Option<Params>, Option<Params>) {
     }
 }
 
-/// Returns `true` if every base layer in `g` is in partitioned form: valid
-/// padding and no inline bias.
-pub fn is_partitioned(g: &cim_ir::Graph) -> bool {
-    g.iter().all(|n| match &n.op {
-        Op::Conv2d(a) => a.padding == cim_ir::Padding::Valid && !a.use_bias,
-        Op::Dense(a) => !a.use_bias,
-        _ => true,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cim_ir::{Conv2dAttrs, DenseAttrs, Executor, FeatureShape, Graph, Padding, Params, Tensor};
+
+    /// Returns `true` if every base layer in `g` is in partitioned form:
+    /// valid padding and no inline bias.
+    fn is_partitioned(g: &Graph) -> bool {
+        g.iter().all(|n| match &n.op {
+            Op::Conv2d(a) => a.padding == Padding::Valid && !a.use_bias,
+            Op::Dense(a) => !a.use_bias,
+            _ => true,
+        })
+    }
 
     fn conv(oc: usize, k: usize, st: usize, padding: Padding, use_bias: bool) -> Op {
         Op::Conv2d(Conv2dAttrs {

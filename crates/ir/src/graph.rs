@@ -327,21 +327,6 @@ impl Graph {
         }
         Ok(())
     }
-
-    /// Total number of scalar parameters attached to the graph.
-    pub fn param_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter_map(|n| n.params.as_ref())
-            .map(|p| {
-                p.kernel.as_ref().map_or(0, Tensor::len)
-                    + p.bias.as_ref().map_or(0, Tensor::len)
-                    + p.bn.as_ref().map_or(0, |b| {
-                        b.gamma.len() + b.beta.len() + b.mean.len() + b.var.len()
-                    })
-            })
-            .sum()
-    }
 }
 
 impl std::fmt::Display for Graph {
@@ -363,6 +348,23 @@ mod tests {
     use super::*;
     use crate::ops::{Conv2dAttrs, PoolAttrs};
     use crate::shape::Padding;
+
+    impl Graph {
+        /// Total number of scalar parameters attached to the graph.
+        fn param_count(&self) -> usize {
+            self.nodes
+                .iter()
+                .filter_map(|n| n.params.as_ref())
+                .map(|p| {
+                    p.kernel.as_ref().map_or(0, Tensor::len)
+                        + p.bias.as_ref().map_or(0, Tensor::len)
+                        + p.bn.as_ref().map_or(0, |b| {
+                            b.gamma.len() + b.beta.len() + b.mean.len() + b.var.len()
+                        })
+                })
+                .sum()
+        }
+    }
 
     fn input(g: &mut Graph, h: usize, w: usize, c: usize) -> NodeId {
         g.add(

@@ -177,7 +177,7 @@ pub enum Op {
 
 impl Op {
     /// Short lowercase mnemonic used in names, DOT output and errors.
-    pub fn mnemonic(&self) -> &'static str {
+    pub(crate) fn mnemonic(&self) -> &'static str {
         match self {
             Op::Input { .. } => "input",
             Op::Conv2d(_) => "conv2d",

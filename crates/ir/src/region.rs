@@ -57,11 +57,6 @@ impl Rect {
         Self::new(0, 0, shape.h - 1, shape.w - 1)
     }
 
-    /// A single pixel.
-    pub fn pixel(y: usize, x: usize) -> Self {
-        Self::new(y, x, y, x)
-    }
-
     /// Number of rows.
     pub const fn height(&self) -> usize {
         self.y1 - self.y0 + 1
@@ -78,7 +73,7 @@ impl Rect {
     }
 
     /// Intersection, or `None` when disjoint.
-    pub fn intersect(&self, other: &Rect) -> Option<Rect> {
+    fn intersect(&self, other: &Rect) -> Option<Rect> {
         let y0 = self.y0.max(other.y0);
         let x0 = self.x0.max(other.x0);
         let y1 = self.y1.min(other.y1);
@@ -94,11 +89,6 @@ impl Rect {
     /// Returns `true` if `other` lies fully inside `self`.
     pub fn contains(&self, other: &Rect) -> bool {
         self.y0 <= other.y0 && self.x0 <= other.x0 && self.y1 >= other.y1 && self.x1 >= other.x1
-    }
-
-    /// Returns `true` if the pixel `(y, x)` lies inside.
-    pub fn contains_pixel(&self, y: usize, x: usize) -> bool {
-        self.y0 <= y && y <= self.y1 && self.x0 <= x && x <= self.x1
     }
 }
 
@@ -359,6 +349,18 @@ mod tests {
     use super::*;
     use crate::ops::{Conv2dAttrs, PoolAttrs, SliceAttrs};
     use crate::shape::{PadSpec, Padding};
+
+    impl Rect {
+        /// A single pixel.
+        fn pixel(y: usize, x: usize) -> Self {
+            Self::new(y, x, y, x)
+        }
+
+        /// Returns `true` if the pixel `(y, x)` lies inside.
+        fn contains_pixel(&self, y: usize, x: usize) -> bool {
+            self.y0 <= y && y <= self.y1 && self.x0 <= x && x <= self.x1
+        }
+    }
 
     fn s(h: usize, w: usize, c: usize) -> FeatureShape {
         FeatureShape::new(h, w, c)

@@ -90,7 +90,7 @@ fn attrs_out_shape(ishape: FeatureShape, attrs: &Conv2dAttrs) -> Result<FeatureS
 ///
 /// Panics if the shapes are not rank 2 or the inner dimensions disagree
 /// (internal helper; public callers go through [`conv_via_im2col`]).
-pub fn gemm(a: &Tensor, b: &Tensor) -> Tensor {
+fn gemm(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.dims()[0], a.dims()[1]);
     let (k2, n) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "gemm inner dimensions");

@@ -229,7 +229,7 @@ mod tests {
     fn bn_folding_removes_all_batch_norms() {
         let g = resnet50();
         let folded = cim_frontend::fold_batch_norm(&g).unwrap();
-        assert!(!cim_frontend::bn::has_batch_norm(&folded));
+        assert!(!folded.iter().any(|n| matches!(n.op, Op::BatchNorm(_))));
         assert_eq!(pe_min(&folded), 390, "folding must not change PE_min");
     }
 

@@ -241,7 +241,7 @@ mod tests {
     fn toy_cnn_without_params_is_shape_only() {
         let g = toy_cnn(None);
         g.validate().unwrap();
-        assert_eq!(g.param_count(), 0);
+        assert!(g.iter().all(|n| n.params.is_none()));
         assert!(Executor::new(&g)
             .run_single(Tensor::zeros(&[28, 28, 1]))
             .is_err());

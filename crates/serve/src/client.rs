@@ -9,10 +9,9 @@
 //! transport failures (the daemon dropped the connection, a read timed
 //! out) reconnect and resend, and typed *retryable* rejections (load
 //! shed — see [`ErrorCode::is_retryable`](crate::protocol::ErrorCode::is_retryable)) back off and resend on the
-//! same connection. Backoff is seeded exponential-with-jitter
-//! ([`RetryPolicy::backoff_delay`] is a pure function of `(policy,
-//! attempt, request)`), so a chaos test replays the exact same retry
-//! schedule every run.
+//! same connection. Backoff is seeded exponential-with-jitter (each
+//! sleep is a pure function of `(policy, attempt, request)`), so a chaos
+//! test replays the exact same retry schedule every run.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -61,11 +60,15 @@ impl RetryPolicy {
     /// The backoff before retry `attempt` (0-based) of the request keyed
     /// by `key` — exponential in the attempt, capped, with half the
     /// window jittered. Pure: no clock, no global RNG.
-    pub fn backoff_delay(&self, attempt: u32, key: u64) -> Duration {
+    fn backoff_delay(&self, attempt: u32, key: u64) -> Duration {
         let base_ns = u64::try_from(self.base.as_nanos()).unwrap_or(u64::MAX);
         let cap_ns = u64::try_from(self.cap.as_nanos()).unwrap_or(u64::MAX);
-        let exp_ns = base_ns
-            .checked_shl(attempt.min(31))
+        // Saturate to the cap on overflow: `base_ns << attempt` would
+        // silently shift bits out (down to a zero sleep) long before
+        // `checked_shl` rejects the shift amount.
+        let exp_ns = 1u64
+            .checked_shl(attempt)
+            .and_then(|factor| base_ns.checked_mul(factor))
             .unwrap_or(cap_ns)
             .min(cap_ns);
         // Decorrelate concurrent clients retrying the same instant: keep
@@ -300,6 +303,26 @@ mod tests {
             policy.backoff_delay(3, other),
             "distinct ids should jitter apart (for this seed)"
         );
+    }
+
+    #[test]
+    fn backoff_saturates_at_the_cap_instead_of_wrapping() {
+        // base = 2^34 ns (~17.2 s): shifting it by 30 or more drops every
+        // set bit, which used to yield a zero sleep instead of the cap.
+        let policy = RetryPolicy {
+            max_retries: 40,
+            base: Duration::from_nanos(1 << 34),
+            cap: Duration::from_secs(60),
+            seed: 7,
+        };
+        let key = request_key(&Request::bare("r1", crate::protocol::Op::Ping));
+        for attempt in 0..=40u32 {
+            let window_ns = (1u128 << (34 + attempt)).min(policy.cap.as_nanos());
+            let floor = Duration::from_nanos(u64::try_from(window_ns / 2).unwrap());
+            let sleep = policy.backoff_delay(attempt, key);
+            assert!(sleep >= floor, "attempt {attempt}: {sleep:?} below {floor:?}");
+            assert!(sleep <= policy.cap, "attempt {attempt}: {sleep:?} over cap");
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl ModelRegistry {
     }
 
     /// Every name the registry can resolve, in canonical order.
-    pub fn known_names() -> Vec<String> {
+    fn known_names() -> Vec<String> {
         let mut names = vec!["fig5".to_string()];
         names.extend(cim_models::all_models().into_iter().map(|m| m.name.to_string()));
         names

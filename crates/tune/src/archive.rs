@@ -45,7 +45,7 @@ impl Measurement {
 
     /// Whether `self` is strictly better than `other` on at least one
     /// objective (regardless of the remaining axes).
-    pub fn improves_some_axis_over(&self, other: &Measurement) -> bool {
+    fn improves_some_axis_over(&self, other: &Measurement) -> bool {
         self.latency_cycles < other.latency_cycles
             || self.utilization > other.utilization
             || self.noc_bytes < other.noc_bytes

@@ -47,7 +47,7 @@ pub struct TuneStats {
 
 impl TuneStats {
     /// Evaluated configurations per second of wall-clock time.
-    pub fn evals_per_sec(&self) -> f64 {
+    fn evals_per_sec(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs <= 0.0 {
             0.0

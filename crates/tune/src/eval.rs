@@ -31,7 +31,7 @@ pub trait Evaluator {
 
 impl Measurement {
     /// Extracts the objective vector of a completed pipeline run.
-    pub fn of_run(result: &RunResult) -> Self {
+    fn of_run(result: &RunResult) -> Self {
         Measurement {
             latency_cycles: result.makespan(),
             utilization: result.report.utilization,

@@ -47,12 +47,12 @@ pub struct Token<'a> {
 
 impl Token<'_> {
     /// Whether this token is the identifier `s`.
-    pub fn is_ident(&self, s: &str) -> bool {
+    pub(crate) fn is_ident(&self, s: &str) -> bool {
         self.kind == TokenKind::Ident && self.text == s
     }
 
     /// Whether this token is the punctuation character `c`.
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         self.kind == TokenKind::Punct && self.text.starts_with(c)
     }
 }
