@@ -123,7 +123,7 @@ impl<R: Serialize> Report<R> {
         println!("{}", self.footer);
         eprintln!("schedule cache: {}", engine.cache.stats());
         if let Some(path) = json {
-            cim_bench::write_json(path, &self.records).expect("write json");
+            cim_bench::export_json(path, &self.records);
             println!("wrote {path}");
         }
     }

@@ -223,7 +223,7 @@ fn main() {
             infeasible: result.stats.infeasible,
             front: rows,
         };
-        cim_bench::write_json(path, &report).expect("write json");
+        cim_bench::export_json(path, &report);
         println!("wrote {path}");
     }
 }

@@ -27,7 +27,7 @@
 
 use cim_bench::cli::{self, Flag};
 use cim_bench::runner::{fingerprint, parallel_map, CacheKey, ScheduleCache};
-use cim_bench::{render_table, write_json, CommonArgs};
+use cim_bench::{export_json, render_table, CommonArgs};
 use cim_fabric::{
     arch_for_mix, parse_tenant_list, run_mix, CoResidency, FabricConfig, FabricResult, FabricSpec,
     TenantInstance, TenantSpec,
@@ -219,7 +219,7 @@ fn mix_sweep_mode(args: &CommonArgs, instances: &[TenantInstance], config: &Fabr
     );
     println!("{} of {} mix points on the Pareto front", front.len(), rows.len());
     if let Some(path) = &args.json {
-        write_json(path, &rows).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        export_json(path, &rows);
         println!("wrote {path}");
     }
 }
@@ -272,7 +272,7 @@ fn main() {
     let result = run_mix(&instances, &config).unwrap_or_else(|e| panic!("mix runs: {e}"));
     print_result(&result);
     if let Some(path) = &args.json {
-        write_json(path, &result).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        export_json(path, &result);
         println!("wrote {path}");
     }
 }

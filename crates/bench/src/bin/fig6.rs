@@ -151,7 +151,7 @@ fn part_c(g: &Graph, args: &CommonArgs, store: Option<&ResultStore>) -> usize {
         println!("persistent store: {}", store.stats());
     }
     if let Some(path) = &args.json {
-        cim_bench::write_json(path, &batch.results).expect("write json");
+        cim_bench::export_json(path, &batch.results);
         println!("wrote {path}");
     }
     batch.failures.len()

@@ -133,7 +133,7 @@ fn main() {
     }
 
     if let Some(path) = json {
-        cim_bench::write_json(&path, &all).expect("write json");
+        cim_bench::export_json(&path, &all);
         println!("wrote {path}");
     }
     if quarantined > 0 {

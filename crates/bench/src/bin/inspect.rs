@@ -132,7 +132,7 @@ fn main() {
         }
     }
     if let Some(path) = json {
-        cim_bench::write_json(path, &gantt_rows(&r.layers, &r.schedule)).expect("write json");
+        cim_bench::export_json(path, &gantt_rows(&r.layers, &r.schedule));
         println!("wrote {path}");
     }
 }

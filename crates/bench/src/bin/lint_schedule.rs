@@ -7,8 +7,8 @@
 //! Usage: `cargo run --release -p cim-bench --bin lint-schedule -- <model> [flags]`;
 //! `--help` prints the flags of `FLAGS` below.
 //!
-//! Exit status: 0 when no `error`-severity finding exists, 1 otherwise,
-//! 2 on usage errors.
+//! Exit status: 0 when no `error`-severity finding exists, 1 otherwise or
+//! when the `--json` export cannot be written, 2 on usage errors.
 
 use cim_arch::Architecture;
 use cim_bench::cli::{self, Flag};
@@ -69,19 +69,15 @@ fn main() {
     for d in &diags {
         println!("{d}");
     }
-    let errors = diags.iter().filter(|d| d.severity == Severity::Error).count();
-    let warnings = diags
-        .iter()
-        .filter(|d| d.severity == Severity::Warning)
-        .count();
+    let count = |severity| diags.iter().filter(|d| d.severity == severity).count();
+    let (errors, warnings) = (count(Severity::Error), count(Severity::Warning));
     println!(
         "lint-schedule: {} finding(s) — {errors} error(s), {warnings} warning(s)",
         diags.len()
     );
 
     if let Some(path) = json {
-        let out = serde_json::to_string_pretty(&diags).expect("diagnostics serialize");
-        std::fs::write(path, out).expect("JSON export path is writable");
+        cim_bench::export_json(path, &diags);
     }
 
     if errors > 0 {

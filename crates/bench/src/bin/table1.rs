@@ -45,7 +45,7 @@ fn main() {
     println!("Paper reference: PE_min = 117");
 
     if let Some(path) = &args.json {
-        cim_bench::write_json(path, &costs).expect("write json");
+        cim_bench::export_json(path, &costs);
         println!("wrote {path}");
     }
 }

@@ -43,7 +43,7 @@ fn main() {
     );
 
     if let Some(path) = &args.json {
-        cim_bench::write_json(path, &rows).expect("write json");
+        cim_bench::export_json(path, &rows);
         println!("wrote {path}");
     }
 }

@@ -27,6 +27,16 @@ pub fn write_json<T: Serialize>(path: impl AsRef<Path>, records: &T) -> io::Resu
     fs::write(path, json)
 }
 
+/// [`write_json`] for a binary's `--json` export: on failure prints
+/// `error: cannot write <path>: <io error>` to stderr and exits 1.
+pub fn export_json<T: Serialize>(path: impl AsRef<Path>, records: &T) {
+    let path = path.as_ref();
+    if let Err(e) = write_json(path, records) {
+        eprintln!("error: cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+}
+
 /// The flags shared by the experiment binaries, read off a parsed flag
 /// table by [`CommonArgs::from_args`].
 #[derive(Debug, Clone, Default)]

@@ -57,5 +57,5 @@ pub mod table;
 pub mod tune;
 
 pub use experiments::{paper_sweep, ConfigResult, SweepOptions};
-pub use export::{write_json, CommonArgs, DEFAULT_SEED};
+pub use export::{export_json, write_json, CommonArgs, DEFAULT_SEED};
 pub use table::render_table;

@@ -1,7 +1,8 @@
 //! The command-line contract of every `cim-bench` binary: `--help` exits
 //! 0 and lists each flag the binary reads, and an unknown flag, a missing
 //! or unknown operand, or an out-of-range value exits 2 with an error
-//! naming it. Neither runs any work.
+//! naming it. Neither runs any work. A `--json` path that cannot be
+//! written exits 1 with an error naming it.
 
 use std::process::Command;
 
@@ -176,4 +177,29 @@ fn zero_sets_exits_2_before_any_work() {
         let args = ["TinyYOLOv4", "--sets", "0"];
         assert_usage_error(exe, &args, &["--sets", "must be at least 1"]);
     }
+}
+
+#[test]
+fn unwritable_json_path_exits_1_and_names_it() {
+    // A regular file where the export's parent directory should be.
+    let blocker = std::env::temp_dir().join(format!("cim-cli-blocker-{}", std::process::id()));
+    std::fs::write(&blocker, b"").expect("temp file");
+    let target = blocker.join("x.json");
+    let target = target.to_str().expect("utf-8 temp path");
+    for (exe, args) in [
+        (env!("CARGO_BIN_EXE_table1"), vec!["--json", target]),
+        (
+            env!("CARGO_BIN_EXE_lint-schedule"),
+            vec!["TinyYOLOv4", "--json", target],
+        ),
+    ] {
+        let out = run(exe, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{exe} {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: cannot write {target}: ")),
+            "{exe} {args:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(&blocker);
 }

@@ -52,9 +52,8 @@ pub fn critical_path(
             detail: "analysis inputs cover different layer counts".into(),
         });
     }
-    // Edge latencies, precomputed once for the whole walk (consumer side
-    // only — the walk never needs the fan-out view).
-    let costed = CostedDeps::build_consumer_only(layers, deps, edge_cost)?;
+    // Edge latencies, precomputed once for the whole walk.
+    let costed = CostedDeps::build(layers, deps, edge_cost)?;
     // Find the set finishing last.
     let mut cur: Option<SetRef> = None;
     let mut best_finish = 0u64;
@@ -138,52 +137,11 @@ pub fn critical_cycles_per_layer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cim_arch::CrossbarSpec;
-    use cim_ir::{Conv2dAttrs, FeatureShape, Graph, Op, Padding};
-    use cim_mapping::{layer_costs, MappingOptions};
-
-    use crate::deps::determine_dependencies;
-    use crate::schedule::cross_layer_schedule;
-    use crate::sets::{determine_sets, SetPolicy};
-
-    fn conv_op(oc: usize, k: usize) -> Op {
-        Op::Conv2d(Conv2dAttrs {
-            out_channels: oc,
-            kernel: (k, k),
-            stride: (1, 1),
-            padding: Padding::Valid,
-            use_bias: false,
-        })
-    }
-
-    fn two_convs() -> (Vec<LayerSets>, Dependencies, Schedule) {
-        let mut g = Graph::new("t");
-        let x = g
-            .add(
-                "input",
-                Op::Input {
-                    shape: FeatureShape::new(10, 10, 3),
-                },
-                &[],
-            )
-            .unwrap();
-        let c1 = g.add("c1", conv_op(8, 3), &[x]).unwrap();
-        g.add("c2", conv_op(8, 3), &[c1]).unwrap();
-        let costs = layer_costs(
-            &g,
-            &CrossbarSpec::wan_nature_2022(),
-            &MappingOptions::default(),
-        )
-        .unwrap();
-        let layers = determine_sets(&g, &costs, &SetPolicy::finest()).unwrap();
-        let deps = determine_dependencies(&g, &layers).unwrap();
-        let s = cross_layer_schedule(&layers, &deps, &EdgeCost::Free).unwrap();
-        (layers, deps, s)
-    }
+    use crate::fixtures::two_conv_pipeline;
 
     #[test]
     fn path_spans_zero_to_makespan_contiguously() {
-        let (layers, deps, s) = two_convs();
+        let (layers, deps, s) = two_conv_pipeline();
         let path = critical_path(&layers, &deps, &s, &EdgeCost::Free).unwrap();
         assert_eq!(path.first().unwrap().start, 0);
         assert_eq!(path.last().unwrap().finish, s.makespan);
@@ -195,7 +153,7 @@ mod tests {
 
     #[test]
     fn path_crosses_into_the_consumer_layer() {
-        let (layers, deps, s) = two_convs();
+        let (layers, deps, s) = two_conv_pipeline();
         let path = critical_path(&layers, &deps, &s, &EdgeCost::Free).unwrap();
         // It must end in c2 (the last finisher) and start in c1.
         assert_eq!(path.first().unwrap().set.layer, 0);
@@ -210,7 +168,7 @@ mod tests {
 
     #[test]
     fn tampered_schedule_is_detected() {
-        let (layers, deps, mut s) = two_convs();
+        let (layers, deps, mut s) = two_conv_pipeline();
         // Delay the final set artificially: its start no longer has a
         // binding predecessor, and it still ends the schedule.
         let last = s.layer(1).len() - 1;
@@ -225,7 +183,7 @@ mod tests {
 
     #[test]
     fn mismatched_inputs_rejected() {
-        let (layers, deps, s) = two_convs();
+        let (layers, deps, s) = two_conv_pipeline();
         assert!(critical_path(&layers[..1], &deps, &s, &EdgeCost::Free).is_err());
     }
 }

@@ -10,16 +10,17 @@
 //! `O(batch × edges)` redundant work in the hottest loop of every sweep.
 //!
 //! [`CostedDeps::build`] hoists all of it: one pass over the CSR edge
-//! arena yields flat `u64` latency tables on both the consumer side (for
-//! the forward longest-path sweep and the validator) and the producer
-//! side (a fan-out CSR for the event engine), plus per-set byte counts and
-//! per-edge hop counts for traffic/energy accounting. The [`EdgeCost::Free`]
-//! model degenerates to branch-free all-zeros tables. The consumers of the
-//! tables never touch [`EdgeCost`] again.
+//! arena yields flat `u64` latency tables aligned with the consumer side of
+//! the dependency CSR (the paper's Stage IV starts each consumer set once
+//! its producers' data has arrived, so the forward longest-path sweep, the
+//! validator and the critical-path walk read nothing else), plus per-set
+//! byte counts and per-edge hop counts for traffic/energy accounting. The
+//! [`EdgeCost::Free`] model degenerates to branch-free all-zeros tables.
+//! The consumers of the tables never touch [`EdgeCost`] again; the one
+//! reader that needs the producer side, the `cim-sim` event engine, sorts
+//! its own fan-out from these arrays.
 
-use serde::{Deserialize, Serialize};
-
-use crate::deps::{Dependencies, SetRef};
+use crate::deps::Dependencies;
 use crate::error::{CoreError, Result};
 use crate::schedule::{set_bytes, EdgeCost};
 use crate::sets::LayerSets;
@@ -28,10 +29,9 @@ use crate::space::SetSpace;
 /// Flat, precomputed edge-cost tables for one `(mapping, EdgeCost)` pair.
 ///
 /// Indexing follows the [`SetSpace`] of the [`Dependencies`] it was built
-/// from; the consumer-side arrays (`dep_*`) are aligned edge-for-edge with
-/// [`Dependencies::of`] / [`Dependencies::csr`], the producer-side arrays
-/// (`out_*`) form an independent fan-out CSR.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// from; the per-edge arrays (`dep_*`) are aligned edge-for-edge with
+/// [`Dependencies::of`] / [`Dependencies::csr`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CostedDeps {
     space: SetSpace,
     /// Bytes forwarded when the set with global index `i` is consumed
@@ -44,18 +44,9 @@ pub struct CostedDeps {
     dep_producer: Vec<usize>,
     /// Per consumer edge: precomputed latency in cycles.
     dep_latency: Vec<u64>,
-    /// Fan-out CSR offsets, per producer global index.
-    out_offsets: Vec<usize>,
-    /// Per fan-out edge: the consumer set.
-    out_consumers: Vec<SetRef>,
-    /// Per fan-out edge: precomputed latency in cycles.
-    out_latency: Vec<u64>,
-    /// Per fan-out edge: NoC hop count (energy accounting).
-    out_hops: Vec<u64>,
-    /// Whether the producer-side fan-out CSR was materialized (the
-    /// forward schedulers and the validator only read the consumer side;
-    /// the event engine needs the fan-out).
-    has_fanout: bool,
+    /// Per consumer edge: NoC hop count (energy accounting); empty under
+    /// [`EdgeCost::Free`], which moves no data.
+    dep_hops: Vec<u64>,
     /// Whether the cost model moves data over the NoC (energy/transfer
     /// accounting applies — false for [`EdgeCost::Free`]).
     tracks_transfers: bool,
@@ -80,27 +71,6 @@ impl CostedDeps {
         layers: &[LayerSets],
         deps: &Dependencies,
         edge_cost: &EdgeCost,
-    ) -> Result<Self> {
-        Self::build_inner(layers, deps, edge_cost, true)
-    }
-
-    /// [`build`](Self::build) without the producer-side fan-out CSR — for
-    /// the one-shot forward schedulers and the validator, which only walk
-    /// the consumer side (skips one counting-sort pass and three edge
-    /// arrays). [`outgoing`](Self::outgoing) panics on such a table.
-    pub(crate) fn build_consumer_only(
-        layers: &[LayerSets],
-        deps: &Dependencies,
-        edge_cost: &EdgeCost,
-    ) -> Result<Self> {
-        Self::build_inner(layers, deps, edge_cost, false)
-    }
-
-    fn build_inner(
-        layers: &[LayerSets],
-        deps: &Dependencies,
-        edge_cost: &EdgeCost,
-        with_fanout: bool,
     ) -> Result<Self> {
         let space = SetSpace::of_layers(layers);
         if !space.same_shape(deps.space()) {
@@ -127,7 +97,7 @@ impl CostedDeps {
         let dep_offsets = offsets.to_vec();
         let mut dep_producer = Vec::with_capacity(producers.len());
         let mut dep_latency = Vec::with_capacity(producers.len());
-        let mut dep_hops = vec![0u64; producers.len()];
+        let mut dep_hops = Vec::new();
         match edge_cost {
             // Branch-free all-zeros tables: the paper's peak model.
             EdgeCost::Free => {
@@ -142,9 +112,9 @@ impl CostedDeps {
                     EdgeCost::NocAndGpeu { .. } => Some(arch.tile().gpeu_ops_per_cycle as u64),
                     _ => None,
                 };
+                dep_hops.reserve_exact(producers.len());
                 // Walk consumers in arena order so each edge knows its
                 // consumer layer without searching the offset table.
-                let mut k = 0usize;
                 for c_layer in 0..space.num_layers() {
                     for s in 0..space.sets_in(c_layer) {
                         let i = space.index(c_layer, s);
@@ -157,45 +127,12 @@ impl CostedDeps {
                             }
                             dep_producer.push(pi);
                             dep_latency.push(lat);
-                            dep_hops[k] = hops;
-                            k += 1;
+                            dep_hops.push(hops);
                         }
                     }
                 }
             }
         }
-
-        // Producer-side fan-out CSR (counting sort by producer index),
-        // materialized only when the caller needs the producer view.
-        let (out_offsets, out_consumers, out_latency, out_hops) = if with_fanout {
-            let mut counts = vec![0usize; total + 1];
-            for &pi in &dep_producer {
-                counts[pi + 1] += 1;
-            }
-            for i in 0..total {
-                counts[i + 1] += counts[i];
-            }
-            let out_offsets = counts.clone();
-            let mut cursor = counts;
-            let mut out_consumers = vec![SetRef { layer: 0, set: 0 }; dep_producer.len()];
-            let mut out_latency = vec![0u64; dep_producer.len()];
-            let mut out_hops = vec![0u64; dep_producer.len()];
-            for l in 0..space.num_layers() {
-                for s in 0..space.sets_in(l) {
-                    let i = space.index(l, s);
-                    for k in dep_offsets[i]..dep_offsets[i + 1] {
-                        let slot = cursor[dep_producer[k]];
-                        cursor[dep_producer[k]] += 1;
-                        out_consumers[slot] = SetRef { layer: l, set: s };
-                        out_latency[slot] = dep_latency[k];
-                        out_hops[slot] = dep_hops[k];
-                    }
-                }
-            }
-            (out_offsets, out_consumers, out_latency, out_hops)
-        } else {
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new())
-        };
 
         Ok(Self {
             space,
@@ -203,18 +140,13 @@ impl CostedDeps {
             dep_offsets,
             dep_producer,
             dep_latency,
-            out_offsets,
-            out_consumers,
-            out_latency,
-            out_hops,
-            has_fanout: with_fanout,
+            dep_hops,
             tracks_transfers: !matches!(edge_cost, EdgeCost::Free),
         })
     }
 
-    /// The zero-cost table for the paper's peak-performance model —
-    /// equivalent to `build(layers, deps, &EdgeCost::Free)` but spelled
-    /// out as the infallible fast path `prepare` caches.
+    /// The zero-cost table for the paper's peak-performance model:
+    /// `build(layers, deps, &EdgeCost::Free)`, the table `prepare` caches.
     ///
     /// # Errors
     ///
@@ -260,10 +192,16 @@ impl CostedDeps {
         &self.dep_latency[self.dep_offsets[i]..self.dep_offsets[i + 1]]
     }
 
-    /// Whether the producer-side fan-out CSR was materialized (true for
-    /// [`build`](Self::build); the event engine requires it).
-    pub fn has_fanout(&self) -> bool {
-        self.has_fanout
+    /// NoC hop counts of the edges into the set with global index `i`,
+    /// aligned with [`incoming`](Self::incoming); empty when the model
+    /// moves no data ([`tracks_transfers`](Self::tracks_transfers) is
+    /// false).
+    #[inline]
+    pub fn hops_into(&self, i: usize) -> &[u64] {
+        if self.dep_hops.is_empty() {
+            return &[];
+        }
+        &self.dep_hops[self.dep_offsets[i]..self.dep_offsets[i + 1]]
     }
 
     /// Whether this table was built from exactly `deps` — same set space
@@ -284,26 +222,6 @@ impl CostedDeps {
                 .iter()
                 .zip(producers)
                 .all(|(&pi, p)| pi == self.space.index(p.layer, p.set))
-    }
-
-    /// Producer-side view of the set with global index `i`: the consumer
-    /// sets it feeds, with per-edge latency and hop count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a consumer-only table (see [`has_fanout`](Self::has_fanout)).
-    #[inline]
-    pub fn outgoing(&self, i: usize) -> (&[SetRef], &[u64], &[u64]) {
-        assert!(
-            self.has_fanout,
-            "outgoing() requires a table built with the fan-out CSR"
-        );
-        let r = self.out_offsets[i]..self.out_offsets[i + 1];
-        (
-            &self.out_consumers[r.clone()],
-            &self.out_latency[r.clone()],
-            &self.out_hops[r],
-        )
     }
 
     /// Whether the underlying model moves data over the NoC (false for
@@ -334,6 +252,7 @@ mod tests {
     use cim_arch::{place_groups, Architecture, PlacementStrategy, TileSpec};
     use cim_ir::{FeatureShape, NodeId, Rect};
 
+    use crate::deps::SetRef;
     use crate::sets::OfmSet;
 
     fn layer(nsets: usize, width: usize, pes: usize) -> LayerSets {
@@ -373,6 +292,7 @@ mod tests {
         let c = CostedDeps::free(&layers, &deps).unwrap();
         assert_eq!(c.num_edges(), 3);
         assert!(!c.tracks_transfers());
+        assert!(c.hops_into(c.space().index(1, 1)).is_empty());
         for l in 0..2 {
             for s in 0..2 {
                 assert!(c.latencies_of(l, s).iter().all(|&x| x == 0));
@@ -411,53 +331,12 @@ mod tests {
             let bytes = set_bytes(&layers[si.layer], si.set);
             assert_eq!(*want, cost.cycles(si.layer, 1, bytes).unwrap());
         }
-    }
-
-    #[test]
-    fn fanout_mirrors_the_consumer_side() {
-        let (layers, deps) = workload();
-        let c = CostedDeps::free(&layers, &deps).unwrap();
-        // Set (0,0) feeds (1,0) and (1,1); set (0,1) feeds (1,1).
-        let (consumers, lat, hops) = c.outgoing(c.space().index(0, 0));
-        assert_eq!(
-            consumers,
-            &[SetRef { layer: 1, set: 0 }, SetRef { layer: 1, set: 1 }]
-        );
-        assert_eq!(lat, &[0, 0]);
-        assert_eq!(hops, &[0, 0]);
-        let (consumers, _, _) = c.outgoing(c.space().index(0, 1));
-        assert_eq!(consumers, &[SetRef { layer: 1, set: 1 }]);
-        // Consumers have no fan-out.
-        assert!(c.outgoing(c.space().index(1, 0)).0.is_empty());
-        // Totals agree across both views.
-        let total_out: usize = (0..c.space().total_sets())
-            .map(|i| c.outgoing(i).0.len())
-            .sum();
-        assert_eq!(total_out, c.num_edges());
-    }
-
-    #[test]
-    fn consumer_only_tables_skip_the_fanout() {
-        let (layers, deps) = workload();
-        let full = CostedDeps::build(&layers, &deps, &EdgeCost::Free).unwrap();
-        let lean = CostedDeps::build_consumer_only(&layers, &deps, &EdgeCost::Free).unwrap();
-        assert!(full.has_fanout());
-        assert!(!lean.has_fanout());
-        // Consumer sides are identical.
-        for l in 0..2 {
-            for s in 0..2 {
-                assert_eq!(lean.latencies_of(l, s), full.latencies_of(l, s));
-                assert_eq!(lean.set_bytes(l, s), full.set_bytes(l, s));
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "fan-out")]
-    fn outgoing_panics_on_consumer_only_tables() {
-        let (layers, deps) = workload();
-        let lean = CostedDeps::build_consumer_only(&layers, &deps, &EdgeCost::Free).unwrap();
-        let _ = lean.outgoing(0);
+        // Hop counts ride along, aligned with the consumer side.
+        let EdgeCost::NocAndGpeu { arch, placement } = &cost else {
+            unreachable!()
+        };
+        let hops = placement.hops_between(arch, 0, 1).unwrap() as u64;
+        assert_eq!(c.hops_into(c.space().index(1, 1)), &[hops, hops]);
     }
 
     #[test]

@@ -441,32 +441,11 @@ impl Walk<'_> {
 mod tests {
     use super::*;
     use cim_arch::CrossbarSpec;
-    use cim_ir::{ActFn, Conv2dAttrs, Op, PadSpec, Padding, PoolAttrs};
+    use cim_ir::{ActFn, Op, PadSpec, Padding, PoolAttrs};
     use cim_mapping::{layer_costs, MappingOptions};
 
+    use crate::fixtures::{conv_op, stages};
     use crate::sets::{determine_sets, OfmSet, SetPolicy};
-
-    fn conv_op(oc: usize, k: usize, st: usize) -> Op {
-        Op::Conv2d(Conv2dAttrs {
-            out_channels: oc,
-            kernel: (k, k),
-            stride: (st, st),
-            padding: Padding::Valid,
-            use_bias: false,
-        })
-    }
-
-    fn stages(g: &Graph, policy: &SetPolicy) -> (Vec<LayerSets>, Dependencies) {
-        let costs = layer_costs(
-            g,
-            &CrossbarSpec::wan_nature_2022(),
-            &MappingOptions::default(),
-        )
-        .unwrap();
-        let layers = determine_sets(g, &costs, policy).unwrap();
-        let deps = determine_dependencies(g, &layers).unwrap();
-        (layers, deps)
-    }
 
     /// The paper's Fig. 5 minimal example: two Conv2D layers with a
     /// bias → activation → pooling → padding non-base path in between.

@@ -3,28 +3,26 @@
 //! schedule, with structured severities — rather than bailing at the first
 //! violation the way [`validate_schedule`](crate::validate_schedule) does.
 //!
-//! Two consumers:
-//!
-//! * the validator itself — [`crate::validate_schedule_costed`] is now a
-//!   thin filter over [`analyze_costed`], returning the first
-//!   [`Severity::Error`] validation finding as a
-//!   [`CoreError::InvalidSchedule`](crate::CoreError::InvalidSchedule)
-//!   with an unchanged message, so every
-//!   historical error string (and the tests asserting on them) is
-//!   preserved byte-for-byte;
-//! * the `lint-schedule` binary in `cim-bench`, which prints the full
-//!   report (including the advisory findings the validator ignores).
-//!
-//! Diagnostics come in two groups, distinguished by [`is_validation_code`]:
+//! Diagnostics come in two groups:
 //!
 //! | group | codes | meaning |
 //! |-------|-------|---------|
 //! | validation | `shape`, `cost-table`, `duration`, `overlap`, `data-dep`, `makespan` | the schedule breaks the paper's legality rules (Sec. IV); always [`Severity::Error`] |
 //! | analysis | `backward-dep`, `cycle`, `unreachable`, `fan-in`, `capacity`, `tile-span` | the *inputs* are malformed or the mapping looks suspicious; severities vary |
 //!
-//! Analysis findings never affect [`crate::validate_schedule`]'s verdict:
-//! a schedule over odd-looking inputs is still legal if every window obeys
-//! the duration, ordering, dependency, and makespan rules.
+//! The split is structural: one private legality walk emits the validation
+//! group, in the order the validator has always checked it, into a sink
+//! that may stop it early. [`analyze_costed`] collects the whole walk and
+//! then runs the analysis group; [`crate::validate_schedule_costed`] stops
+//! the walk at its first finding, returns it as a
+//! [`CoreError::InvalidSchedule`](crate::CoreError::InvalidSchedule) with
+//! an unchanged message, and never runs the analysis. Analysis findings
+//! therefore never affect the validator's verdict: a schedule over
+//! odd-looking inputs is still legal if every window obeys the duration,
+//! ordering, dependency, and makespan rules. The `lint-schedule` binary in
+//! `cim-bench` prints the full report, plus [`capacity_diagnostics`].
+
+use std::ops::ControlFlow;
 
 use serde::Serialize;
 
@@ -99,23 +97,29 @@ impl ScheduleDiagnostic {
     }
 }
 
-/// Whether `code` belongs to the validation group — the legality rules
-/// whose first `Error` is what [`crate::validate_schedule`] reports.
-pub fn is_validation_code(code: &str) -> bool {
-    matches!(
-        code,
-        "shape" | "cost-table" | "duration" | "overlap" | "data-dep" | "makespan"
-    )
+/// Receives the legality walk's findings; [`ControlFlow::Break`] stops
+/// the walk.
+pub(crate) type Sink<'a> = dyn FnMut(ScheduleDiagnostic) -> ControlFlow<()> + 'a;
+
+/// The first finding `walk` emits, stopping the walk there.
+pub(crate) fn first_finding(
+    walk: impl FnOnce(&mut Sink<'_>) -> ControlFlow<()>,
+) -> Option<ScheduleDiagnostic> {
+    let mut first = None;
+    let _ = walk(&mut |d| {
+        first = Some(d);
+        ControlFlow::Break(())
+    });
+    first
 }
 
 /// Runs the full diagnostics pass with a prebuilt edge-cost table.
 ///
 /// Emits the validation findings first, in exactly the order the
-/// historical validator checked them (shape, cost-table provenance,
-/// per-layer durations and overlaps, data dependencies, makespan), then
-/// the analysis findings. When the schedule's shape disagrees with the
-/// layer list, only the shape findings are returned — nothing else can be
-/// indexed safely.
+/// validator checks them (shape, cost-table provenance, per-layer
+/// durations and overlaps, data dependencies, makespan), then the analysis
+/// findings. When the schedule's shape disagrees with the layer list, only
+/// the shape findings are returned — nothing else can be indexed safely.
 #[must_use]
 pub fn analyze_costed(
     layers: &[LayerSets],
@@ -124,35 +128,51 @@ pub fn analyze_costed(
     costed: &CostedDeps,
 ) -> Vec<ScheduleDiagnostic> {
     let mut out = Vec::new();
-
-    // -- shape (gate: everything below indexes through it) ---------------
-    if !check_shape(layers, schedule, &mut out) {
-        return out;
+    let walked = legality_walk(layers, deps, schedule, costed, &mut |d| {
+        out.push(d);
+        ControlFlow::Continue(())
+    });
+    if walked.is_continue() {
+        analyze_deps(layers, deps, &mut out);
     }
-    // The historical validator assumed deps agree with the schedule shape
-    // (they always do when both come from the pipeline) and would index
-    // out of bounds otherwise; the diagnostics pass degrades gracefully.
+    out
+}
+
+/// The validation group: emits every legality finding of `schedule` into
+/// `emit`. Returns [`ControlFlow::Break`] when `emit` asked to stop or a
+/// shape gate failed (nothing past a broken shape can be indexed).
+pub(crate) fn legality_walk(
+    layers: &[LayerSets],
+    deps: &Dependencies,
+    schedule: &Schedule,
+    costed: &CostedDeps,
+    emit: &mut Sink<'_>,
+) -> ControlFlow<()> {
+    // -- shape (gate: everything below indexes through it) ---------------
+    check_shape(layers, schedule, emit)?;
+    // Dependencies from the pipeline always agree with the schedule
+    // shape; hand-built ones may not, and are reported instead of indexed.
     let deps_aligned = deps.num_layers() == layers.len()
         && (0..deps.num_layers()).all(|l| deps.space().sets_in(l) == schedule.layer(l).len());
     if !deps_aligned {
-        out.push(ScheduleDiagnostic::error(
+        emit(ScheduleDiagnostic::error(
             "shape",
             format!(
                 "dependencies cover a different set space ({} layers) than the schedule ({})",
                 deps.num_layers(),
                 schedule.num_layers()
             ),
-        ));
-        return out;
+        ))?;
+        return ControlFlow::Break(());
     }
 
     // -- cost-table provenance -------------------------------------------
     let costed_ok = costed.matches(deps);
     if !costed_ok {
-        out.push(ScheduleDiagnostic::error(
+        emit(ScheduleDiagnostic::error(
             "cost-table",
             "cost table was built from different dependencies".to_string(),
-        ));
+        ))?;
     }
 
     // -- durations and PE-group ordering, layer by layer ------------------
@@ -161,19 +181,19 @@ pub fn analyze_costed(
         let times = schedule.layer(li);
         for (si, (t, set)) in times.iter().zip(&layer.sets).enumerate() {
             if t.finish.saturating_sub(t.start) != set.duration {
-                out.push(ScheduleDiagnostic::error(
+                emit(ScheduleDiagnostic::error(
                     "duration",
                     format!(
                         "layer `{}` set {si}: window [{}, {}) does not match duration {}",
                         layer.name, t.start, t.finish, set.duration
                     ),
-                ));
+                ))?;
             }
             latest = latest.max(t.finish);
         }
         for (si, w) in times.windows(2).enumerate() {
             if w[1].start < w[0].finish {
-                out.push(ScheduleDiagnostic::error(
+                emit(ScheduleDiagnostic::error(
                     "overlap",
                     format!(
                         "layer `{}`: set {} starts at {} before set {} finishes at {} \
@@ -184,7 +204,7 @@ pub fn analyze_costed(
                         si,
                         w[0].finish
                     ),
-                ));
+                ))?;
             }
         }
     }
@@ -199,14 +219,14 @@ pub fn analyze_costed(
                     let arrival = p.finish + lat;
                     if c.start < arrival {
                         let consumer = SetRef { layer: l, set: s };
-                        out.push(ScheduleDiagnostic::error(
+                        emit(ScheduleDiagnostic::error(
                             "data-dep",
                             format!(
                                 "data dependency violated: {producer} arrives at {arrival} but \
                                  {consumer} starts at {}",
                                 c.start
                             ),
-                        ));
+                        ))?;
                     }
                 }
             }
@@ -215,18 +235,15 @@ pub fn analyze_costed(
 
     // -- makespan ---------------------------------------------------------
     if schedule.makespan != latest {
-        out.push(ScheduleDiagnostic::error(
+        emit(ScheduleDiagnostic::error(
             "makespan",
             format!(
                 "makespan {} does not match latest finish {latest}",
                 schedule.makespan
             ),
-        ));
+        ))?;
     }
-
-    // -- analysis group (never consumed by the validator) -----------------
-    analyze_deps(layers, deps, &mut out);
-    out
+    ControlFlow::Continue(())
 }
 
 /// Analysis-only findings over the dependency structure: backward edges,
@@ -263,9 +280,15 @@ fn analyze_deps(layers: &[LayerSets], deps: &Dependencies, out: &mut Vec<Schedul
     }
 
     // Unreachable sets: a set past the input layer with no producers can
-    // never receive data.
+    // never receive data — unless no set of its layer has producers: such
+    // a layer reads the network input (under weight duplication, the
+    // duplicates of the input-reading layer do).
     for l in 1..deps.num_layers() {
-        for s in 0..deps.space().sets_in(l) {
+        let sets = deps.space().sets_in(l);
+        if (0..sets).all(|s| deps.fan_in(l, s) == 0) {
+            continue;
+        }
+        for s in 0..sets {
             if deps.fan_in(l, s) == 0 {
                 let set = SetRef { layer: l, set: s };
                 let name = layers.get(l).map_or("?", |ls| ls.name.as_str());
@@ -412,29 +435,30 @@ pub fn capacity_diagnostics(layers: &[LayerSets], arch: &Architecture) -> Vec<Sc
     out
 }
 
-/// Shape agreement between the schedule and the layer list; pushes
-/// findings and reports whether the shape is sound enough to continue.
-fn check_shape(
+/// Shape agreement between the schedule and the layer list: emits every
+/// `shape` finding and breaks when there was one (the gate of
+/// [`legality_walk`], and [`crate::validate_schedule`]'s first check).
+pub(crate) fn check_shape(
     layers: &[LayerSets],
     schedule: &Schedule,
-    out: &mut Vec<ScheduleDiagnostic>,
-) -> bool {
+    emit: &mut Sink<'_>,
+) -> ControlFlow<()> {
     if schedule.num_layers() != layers.len() {
-        out.push(ScheduleDiagnostic::error(
+        emit(ScheduleDiagnostic::error(
             "shape",
             format!(
                 "schedule has {} layers, expected {}",
                 schedule.num_layers(),
                 layers.len()
             ),
-        ));
-        return false;
+        ))?;
+        return ControlFlow::Break(());
     }
     let mut ok = true;
     for (li, layer) in layers.iter().enumerate() {
         let n = schedule.layer(li).len();
         if n != layer.sets.len() {
-            out.push(ScheduleDiagnostic::error(
+            emit(ScheduleDiagnostic::error(
                 "shape",
                 format!(
                     "layer `{}` has {} windows for {} sets",
@@ -442,70 +466,21 @@ fn check_shape(
                     n,
                     layer.sets.len()
                 ),
-            ));
+            ))?;
             ok = false;
         }
     }
-    ok
+    if ok {
+        ControlFlow::Continue(())
+    } else {
+        ControlFlow::Break(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deps::determine_dependencies;
-    use crate::schedule::{cross_layer_schedule, EdgeCost, Schedule};
-    use crate::sets::{determine_sets, SetPolicy};
-    use cim_arch::CrossbarSpec;
-    use cim_ir::{Conv2dAttrs, FeatureShape, Graph, Op, Padding};
-    use cim_mapping::{layer_costs, MappingOptions};
-
-    fn pipeline() -> (Vec<LayerSets>, Dependencies, Schedule) {
-        let mut g = Graph::new("t");
-        let x = g
-            .add(
-                "input",
-                Op::Input {
-                    shape: FeatureShape::new(10, 10, 3),
-                },
-                &[],
-            )
-            .unwrap();
-        let c1 = g
-            .add(
-                "c1",
-                Op::Conv2d(Conv2dAttrs {
-                    out_channels: 8,
-                    kernel: (3, 3),
-                    stride: (1, 1),
-                    padding: Padding::Valid,
-                    use_bias: false,
-                }),
-                &[x],
-            )
-            .unwrap();
-        g.add(
-            "c2",
-            Op::Conv2d(Conv2dAttrs {
-                out_channels: 8,
-                kernel: (3, 3),
-                stride: (1, 1),
-                padding: Padding::Valid,
-                use_bias: false,
-            }),
-            &[c1],
-        )
-        .unwrap();
-        let costs = layer_costs(
-            &g,
-            &CrossbarSpec::wan_nature_2022(),
-            &MappingOptions::default(),
-        )
-        .unwrap();
-        let layers = determine_sets(&g, &costs, &SetPolicy::finest()).unwrap();
-        let deps = determine_dependencies(&g, &layers).unwrap();
-        let s = cross_layer_schedule(&layers, &deps, &EdgeCost::Free).unwrap();
-        (layers, deps, s)
-    }
+    use crate::fixtures::two_conv_pipeline as pipeline;
 
     #[test]
     fn clean_pipelines_have_no_errors_or_warnings() {
@@ -551,16 +526,15 @@ mod tests {
     fn orphan_sets_are_flagged_unreachable() {
         let (layers, _deps, s) = pipeline();
         let counts: Vec<usize> = layers.iter().map(|l| l.sets.len()).collect();
-        // Only one edge into layer 1: everything else downstream is orphaned.
+        // Only one edge into layer 1, (consumer, producer): every other set
+        // of layer 1 is orphaned.
         let a = SetRef { layer: 0, set: 0 };
         let b = SetRef { layer: 1, set: 0 };
-        let deps = Dependencies::from_edges(&counts, &[(a, b)]).unwrap();
+        let deps = Dependencies::from_edges(&counts, &[(b, a)]).unwrap();
         let costed = CostedDeps::free(&layers, &deps).unwrap();
         let diags = analyze_costed(&layers, &deps, &s, &costed);
-        assert!(
-            diags.iter().any(|d| d.code == "unreachable"),
-            "{diags:?}"
-        );
+        let orphans = diags.iter().filter(|d| d.code == "unreachable").count();
+        assert_eq!(orphans, layers[1].sets.len() - 1, "{diags:?}");
     }
 
     #[test]
@@ -581,15 +555,5 @@ mod tests {
     fn display_is_severity_code_detail() {
         let d = ScheduleDiagnostic::error("duration", "x".to_string());
         assert_eq!(d.to_string(), "error[duration]: x");
-    }
-
-    #[test]
-    fn validation_codes_are_classified() {
-        for c in ["shape", "cost-table", "duration", "overlap", "data-dep", "makespan"] {
-            assert!(is_validation_code(c));
-        }
-        for c in ["backward-dep", "cycle", "unreachable", "fan-in", "capacity", "tile-span"] {
-            assert!(!is_validation_code(c));
-        }
     }
 }

@@ -79,9 +79,7 @@ pub mod validate;
 pub use analysis::{critical_cycles_per_layer, critical_path, CriticalStep};
 pub use cost::CostedDeps;
 pub use deps::{determine_dependencies, Dependencies, SetRef};
-pub use diagnose::{
-    analyze_costed, capacity_diagnostics, is_validation_code, ScheduleDiagnostic, Severity,
-};
+pub use diagnose::{analyze_costed, capacity_diagnostics, ScheduleDiagnostic, Severity};
 pub use error::{CoreError, Result};
 pub use gantt::{gantt_rows, gantt_text, GanttRow};
 pub use metrics::{
@@ -99,3 +97,63 @@ pub use schedule::{
 pub use sets::{determine_sets, LayerSets, OfmSet, SetPolicy};
 pub use space::SetSpace;
 pub use validate::{validate_schedule, validate_schedule_costed};
+
+/// Graphs and stage outputs shared by the crate's unit tests.
+#[cfg(test)]
+mod fixtures {
+    use cim_arch::CrossbarSpec;
+    use cim_ir::{Conv2dAttrs, FeatureShape, Graph, Op, Padding};
+    use cim_mapping::{layer_costs, MappingOptions};
+
+    use crate::deps::{determine_dependencies, Dependencies};
+    use crate::schedule::{cross_layer_schedule, EdgeCost, Schedule};
+    use crate::sets::{determine_sets, LayerSets, SetPolicy};
+
+    /// A valid-padding, bias-free `k`×`k` convolution with stride `st`.
+    pub(crate) fn conv_op(oc: usize, k: usize, st: usize) -> Op {
+        Op::Conv2d(Conv2dAttrs {
+            out_channels: oc,
+            kernel: (k, k),
+            stride: (st, st),
+            padding: Padding::Valid,
+            use_bias: false,
+        })
+    }
+
+    /// Two stacked 3×3/1 convs: 10×10 input → 8×8 → 6×6.
+    pub(crate) fn two_convs() -> Graph {
+        let mut g = Graph::new("t");
+        let x = g
+            .add(
+                "input",
+                Op::Input {
+                    shape: FeatureShape::new(10, 10, 3),
+                },
+                &[],
+            )
+            .unwrap();
+        let c1 = g.add("c1", conv_op(8, 3, 1), &[x]).unwrap();
+        g.add("c2", conv_op(8, 3, 1), &[c1]).unwrap();
+        g
+    }
+
+    /// Stages I and II of `g` on the paper's crossbar.
+    pub(crate) fn stages(g: &Graph, policy: &SetPolicy) -> (Vec<LayerSets>, Dependencies) {
+        let costs = layer_costs(
+            g,
+            &CrossbarSpec::wan_nature_2022(),
+            &MappingOptions::default(),
+        )
+        .unwrap();
+        let layers = determine_sets(g, &costs, policy).unwrap();
+        let deps = determine_dependencies(g, &layers).unwrap();
+        (layers, deps)
+    }
+
+    /// [`two_convs`] at the finest sets, with its cross-layer schedule.
+    pub(crate) fn two_conv_pipeline() -> (Vec<LayerSets>, Dependencies, Schedule) {
+        let (layers, deps) = stages(&two_convs(), &SetPolicy::finest());
+        let s = cross_layer_schedule(&layers, &deps, &EdgeCost::Free).unwrap();
+        (layers, deps, s)
+    }
+}

@@ -158,10 +158,11 @@ pub struct Prepared {
     /// Stage-II dependencies.
     pub deps: Deps,
     /// Precomputed zero-cost edge tables for the paper's peak model
-    /// ([`EdgeCost::Free`]): byte counts, fan-out CSR, all-zeros
-    /// latencies. Cached here — like the other stage artifacts — because
-    /// it depends only on the mapping side; every `Free`-model schedule,
-    /// validation, and simulation over this mapping shares the one table.
+    /// ([`EdgeCost::Free`]): byte counts and all-zeros latencies, aligned
+    /// with the consumer side of `deps`. Cached here — like the other
+    /// stage artifacts — because it depends only on the mapping side;
+    /// every `Free`-model schedule, validation, and simulation over this
+    /// mapping shares the one table.
     pub costed_free: Costs,
     /// `PE_min` of the *original* graph (weights stored once).
     pub pe_min: usize,
@@ -411,17 +412,9 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cim_ir::{ActFn, Conv2dAttrs, FeatureShape, Op, Padding, PoolAttrs};
+    use cim_ir::{ActFn, FeatureShape, Op, Padding, PoolAttrs};
 
-    fn conv_op(oc: usize, k: usize, st: usize) -> Op {
-        Op::Conv2d(Conv2dAttrs {
-            out_channels: oc,
-            kernel: (k, k),
-            stride: (st, st),
-            padding: Padding::Valid,
-            use_bias: false,
-        })
-    }
+    use crate::fixtures::conv_op;
 
     /// A small 3-conv CNN with pooling and activation, PE_min = 3.
     fn small_cnn() -> Graph {

@@ -224,12 +224,11 @@ fn back_propagate_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cim_arch::CrossbarSpec;
-    use cim_ir::{Conv2dAttrs, FeatureShape, Op, Padding};
-    use cim_mapping::{layer_costs, MappingOptions};
+    use cim_ir::{FeatureShape, Op};
 
+    use crate::fixtures::{conv_op, stages};
     use crate::schedule::{batched_cross_layer_schedule, cross_layer_schedule};
-    use crate::sets::{determine_sets, SetPolicy};
+    use crate::sets::SetPolicy;
 
     #[test]
     fn reference_agrees_on_the_fig5_style_chain() {
@@ -243,39 +242,9 @@ mod tests {
                 &[],
             )
             .unwrap();
-        let c1 = g
-            .add(
-                "c1",
-                Op::Conv2d(Conv2dAttrs {
-                    out_channels: 8,
-                    kernel: (3, 3),
-                    stride: (1, 1),
-                    padding: Padding::Valid,
-                    use_bias: false,
-                }),
-                &[x],
-            )
-            .unwrap();
-        g.add(
-            "c2",
-            Op::Conv2d(Conv2dAttrs {
-                out_channels: 8,
-                kernel: (3, 3),
-                stride: (1, 1),
-                padding: Padding::Valid,
-                use_bias: false,
-            }),
-            &[c1],
-        )
-        .unwrap();
-        let costs = layer_costs(
-            &g,
-            &CrossbarSpec::wan_nature_2022(),
-            &MappingOptions::default(),
-        )
-        .unwrap();
-        let layers = determine_sets(&g, &costs, &SetPolicy::finest()).unwrap();
-        let deps = crate::deps::determine_dependencies(&g, &layers).unwrap();
+        let c1 = g.add("c1", conv_op(8, 3, 1), &[x]).unwrap();
+        g.add("c2", conv_op(8, 3, 1), &[c1]).unwrap();
+        let (layers, deps) = stages(&g, &SetPolicy::finest());
         assert_eq!(determine_dependencies_naive(&g, &layers).unwrap(), deps);
         assert_eq!(
             cross_layer_schedule_naive(&layers, &deps, &EdgeCost::Free).unwrap(),

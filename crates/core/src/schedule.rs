@@ -296,7 +296,7 @@ pub fn cross_layer_schedule(
 ) -> Result<Schedule> {
     check_layer_count(layers, deps)?;
     // Freshly built from `deps` — no need to re-verify the table matches.
-    let costed = CostedDeps::build_consumer_only(layers, deps, edge_cost)?;
+    let costed = CostedDeps::build(layers, deps, edge_cost)?;
     deps.ensure_backward()?;
     Ok(sweep_single(layers, &costed))
 }
@@ -398,7 +398,7 @@ pub fn batched_cross_layer_schedule(
     check_batch(batch)?;
     check_layer_count(layers, deps)?;
     // Freshly built from `deps` — no need to re-verify the table matches.
-    let costed = CostedDeps::build_consumer_only(layers, deps, edge_cost)?;
+    let costed = CostedDeps::build(layers, deps, edge_cost)?;
     deps.ensure_backward()?;
     Ok(sweep_batched(layers, &costed, batch))
 }
@@ -552,51 +552,10 @@ fn check_shapes(layers: &[LayerSets], deps: &Dependencies, costed: &CostedDeps) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cim_arch::CrossbarSpec;
-    use cim_ir::{Conv2dAttrs, FeatureShape, Graph, Op, Padding};
-    use cim_mapping::{layer_costs, MappingOptions};
+    use cim_ir::FeatureShape;
 
-    use crate::deps::determine_dependencies;
-    use crate::sets::{determine_sets, SetPolicy};
-
-    fn conv_op(oc: usize, k: usize, st: usize) -> Op {
-        Op::Conv2d(Conv2dAttrs {
-            out_channels: oc,
-            kernel: (k, k),
-            stride: (st, st),
-            padding: Padding::Valid,
-            use_bias: false,
-        })
-    }
-
-    /// Two stacked 3×3/1 convs: 10×10 input → 8×8 → 6×6.
-    fn two_convs() -> Graph {
-        let mut g = Graph::new("t");
-        let x = g
-            .add(
-                "input",
-                Op::Input {
-                    shape: FeatureShape::new(10, 10, 3),
-                },
-                &[],
-            )
-            .unwrap();
-        let c1 = g.add("c1", conv_op(8, 3, 1), &[x]).unwrap();
-        g.add("c2", conv_op(8, 3, 1), &[c1]).unwrap();
-        g
-    }
-
-    fn stages(g: &Graph, policy: &SetPolicy) -> (Vec<LayerSets>, Dependencies) {
-        let costs = layer_costs(
-            g,
-            &CrossbarSpec::wan_nature_2022(),
-            &MappingOptions::default(),
-        )
-        .unwrap();
-        let layers = determine_sets(g, &costs, policy).unwrap();
-        let deps = determine_dependencies(g, &layers).unwrap();
-        (layers, deps)
-    }
+    use crate::fixtures::{stages, two_convs};
+    use crate::sets::SetPolicy;
 
     #[test]
     fn cross_layer_overlaps_consecutive_convs() {

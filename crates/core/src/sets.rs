@@ -228,18 +228,10 @@ fn row_quantum(graph: &Graph, consumers: &[Vec<NodeId>], node: NodeId) -> usize 
 mod tests {
     use super::*;
     use cim_arch::CrossbarSpec;
-    use cim_ir::{Conv2dAttrs, Padding, PoolAttrs};
+    use cim_ir::{Padding, PoolAttrs};
     use cim_mapping::{layer_costs, MappingOptions};
 
-    fn conv_op(oc: usize, k: usize, st: usize) -> Op {
-        Op::Conv2d(Conv2dAttrs {
-            out_channels: oc,
-            kernel: (k, k),
-            stride: (st, st),
-            padding: Padding::Valid,
-            use_bias: false,
-        })
-    }
+    use crate::fixtures::conv_op;
 
     fn pool_op(w: usize, st: usize) -> Op {
         Op::MaxPool2d(PoolAttrs {

@@ -1,11 +1,12 @@
 //! Schedule validation: machine-checks every property a legal CLSA-CIM
-//! schedule must have. Used by the test suite (including the property tests
-//! over random graphs) and available to downstream users as a debugging
-//! aid.
+//! schedule must have. Every pipeline run ([`crate::run`]) validates the
+//! schedule it returns, so this is on the hot path: the check stops at the
+//! first violation and runs none of the advisory analysis of
+//! [`crate::diagnose`].
 
 use crate::cost::CostedDeps;
 use crate::deps::Dependencies;
-use crate::diagnose::{analyze_costed, is_validation_code, Severity};
+use crate::diagnose::{check_shape, first_finding, legality_walk, ScheduleDiagnostic};
 use crate::error::{CoreError, Result};
 use crate::schedule::{EdgeCost, Schedule};
 use crate::sets::LayerSets;
@@ -35,19 +36,21 @@ pub fn validate_schedule(
     schedule: &Schedule,
     edge_cost: &EdgeCost,
 ) -> Result<()> {
-    check_shape(layers, schedule)?;
-    let costed = CostedDeps::build_consumer_only(layers, deps, edge_cost).map_err(invalidate)?;
+    reject(first_finding(|emit| check_shape(layers, schedule, emit)))?;
+    // A table that cannot be built means the stage outputs disagree.
+    let costed = CostedDeps::build(layers, deps, edge_cost).map_err(|e| match e {
+        CoreError::StageMismatch { detail } => CoreError::InvalidSchedule { detail },
+        other => other,
+    })?;
     validate_schedule_costed(layers, deps, schedule, &costed)
 }
 
 /// [`validate_schedule`] on a prebuilt [`CostedDeps`] table.
 ///
-/// Implemented as a filter over the structured diagnostics pass
-/// ([`crate::diagnose::analyze_costed`]): the first validation finding of
-/// [`Severity::Error`] becomes the returned error, with a message
-/// byte-identical to the historical single-shot validator's. Analysis
-/// findings (backward edges, fan-in anomalies, …) never affect the
-/// verdict — see the `diagnose` module docs for the split.
+/// Stops the diagnostics pass's legality walk at its first finding, whose
+/// message is the returned error; the analysis findings of
+/// [`crate::diagnose::analyze_costed`] (backward edges, fan-in anomalies,
+/// …) are never computed and never affect the verdict.
 ///
 /// # Errors
 ///
@@ -58,109 +61,24 @@ pub fn validate_schedule_costed(
     schedule: &Schedule,
     costed: &CostedDeps,
 ) -> Result<()> {
-    let first = analyze_costed(layers, deps, schedule, costed)
-        .into_iter()
-        .find(|d| d.severity == Severity::Error && is_validation_code(d.code));
-    match first {
+    reject(first_finding(|emit| {
+        legality_walk(layers, deps, schedule, costed, emit)
+    }))
+}
+
+/// A legality finding as the validator's error.
+fn reject(finding: Option<ScheduleDiagnostic>) -> Result<()> {
+    match finding {
         Some(d) => Err(CoreError::InvalidSchedule { detail: d.detail }),
         None => Ok(()),
-    }
-}
-
-/// Shape agreement between the schedule and the layer list.
-fn check_shape(layers: &[LayerSets], schedule: &Schedule) -> Result<()> {
-    if schedule.num_layers() != layers.len() {
-        return Err(CoreError::InvalidSchedule {
-            detail: format!(
-                "schedule has {} layers, expected {}",
-                schedule.num_layers(),
-                layers.len()
-            ),
-        });
-    }
-    for (li, layer) in layers.iter().enumerate() {
-        let n = schedule.layer(li).len();
-        if n != layer.sets.len() {
-            return Err(CoreError::InvalidSchedule {
-                detail: format!(
-                    "layer `{}` has {} windows for {} sets",
-                    layer.name,
-                    n,
-                    layer.sets.len()
-                ),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Maps a stage mismatch from cost-table construction onto the validator's
-/// error type.
-fn invalidate(e: CoreError) -> CoreError {
-    match e {
-        CoreError::StageMismatch { detail } => CoreError::InvalidSchedule { detail },
-        other => other,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cim_arch::CrossbarSpec;
-    use cim_ir::{Conv2dAttrs, FeatureShape, Graph, Op, Padding};
-    use cim_mapping::{layer_costs, MappingOptions};
-
-    use crate::deps::determine_dependencies;
-    use crate::schedule::{cross_layer_schedule, layer_by_layer_schedule};
-    use crate::sets::{determine_sets, SetPolicy};
-
-    fn pipeline() -> (Vec<LayerSets>, Dependencies, Schedule) {
-        let mut g = Graph::new("t");
-        let x = g
-            .add(
-                "input",
-                Op::Input {
-                    shape: FeatureShape::new(10, 10, 3),
-                },
-                &[],
-            )
-            .unwrap();
-        let c1 = g
-            .add(
-                "c1",
-                Op::Conv2d(Conv2dAttrs {
-                    out_channels: 8,
-                    kernel: (3, 3),
-                    stride: (1, 1),
-                    padding: Padding::Valid,
-                    use_bias: false,
-                }),
-                &[x],
-            )
-            .unwrap();
-        g.add(
-            "c2",
-            Op::Conv2d(Conv2dAttrs {
-                out_channels: 8,
-                kernel: (3, 3),
-                stride: (1, 1),
-                padding: Padding::Valid,
-                use_bias: false,
-            }),
-            &[c1],
-        )
-        .unwrap();
-        let costs = layer_costs(
-            &g,
-            &CrossbarSpec::wan_nature_2022(),
-            &MappingOptions::default(),
-        )
-        .unwrap();
-        let layers = determine_sets(&g, &costs, &SetPolicy::finest()).unwrap();
-        let deps = determine_dependencies(&g, &layers).unwrap();
-        let s = cross_layer_schedule(&layers, &deps, &EdgeCost::Free).unwrap();
-        (layers, deps, s)
-    }
+    use crate::schedule::layer_by_layer_schedule;
+    use crate::fixtures::two_conv_pipeline as pipeline;
 
     #[test]
     fn valid_schedules_pass() {

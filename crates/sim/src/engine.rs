@@ -69,8 +69,9 @@ impl<'a> Simulator<'a> {
 
     /// [`run`](Self::run) on a prebuilt [`CostedDeps`] table: every edge
     /// delivery reads a precomputed `u64` latency (and hop count, for
-    /// energy accounting) from the fan-out CSR instead of re-deriving the
-    /// cost model per message.
+    /// energy accounting) from the table instead of re-deriving the cost
+    /// model per message. The engine sorts the table's consumer-side edges
+    /// into a per-producer fan-out once per run.
     ///
     /// # Errors
     ///

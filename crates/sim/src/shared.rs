@@ -33,7 +33,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, BTreeMap};
 
 use cim_arch::{EnergyLog, FabricSpec, NocSpec, TileId};
-use clsa_core::{CostedDeps, Dependencies, LayerSets, Schedule, SetTime};
+use clsa_core::{CostedDeps, Dependencies, LayerSets, Schedule, SetRef, SetTime};
 
 use crate::engine::SimResult;
 use crate::error::{Result, SimError};
@@ -47,8 +47,8 @@ pub struct TenantWorkload<'a> {
     pub layers: &'a [LayerSets],
     /// Stage-II dependencies over those sets.
     pub deps: &'a Dependencies,
-    /// Precomputed edge-cost tables (must match `deps` and carry the
-    /// fan-out CSR).
+    /// Precomputed edge-cost tables (must be built from `deps`; the
+    /// engine sorts its producer-side fan-out from them).
     pub costed: &'a CostedDeps,
     /// Cycle at which this tenant's first set may start.
     pub arrival: u64,
@@ -173,6 +173,51 @@ struct HopClass {
     messages: u64,
     bytes: u64,
     inflight: InflightTracker,
+}
+
+/// The producer side of one tenant's cost table: per producer global
+/// index, the edges it feeds, in consumer-arena order (a counting sort of
+/// the consumer-side CSR by producer). Completions deliver along it.
+struct FanOut {
+    offsets: Vec<usize>,
+    /// Per fan-out edge: the consumer, the edge latency and its hop count.
+    edges: Vec<(SetRef, u64, u64)>,
+}
+
+impl FanOut {
+    fn of(costed: &CostedDeps) -> Self {
+        let space = costed.space();
+        let total = space.total_sets();
+        let mut offsets = vec![0usize; total + 1];
+        for i in 0..total {
+            for &pi in costed.incoming(i).0 {
+                offsets[pi + 1] += 1;
+            }
+        }
+        for i in 0..total {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets.clone();
+        let mut edges = vec![(SetRef { layer: 0, set: 0 }, 0, 0); costed.num_edges()];
+        for l in 0..space.num_layers() {
+            for s in 0..space.sets_in(l) {
+                let i = space.index(l, s);
+                let (producers, latencies) = costed.incoming(i);
+                let hops = costed.hops_into(i);
+                for (e, (&pi, &lat)) in producers.iter().zip(latencies).enumerate() {
+                    let hop = hops.get(e).copied().unwrap_or(0);
+                    edges[cursor[pi]] = (SetRef { layer: l, set: s }, lat, hop);
+                    cursor[pi] += 1;
+                }
+            }
+        }
+        FanOut { offsets, edges }
+    }
+
+    /// The edges producer `i` feeds.
+    fn of_producer(&self, i: usize) -> &[(SetRef, u64, u64)] {
+        &self.edges[self.offsets[i]..self.offsets[i + 1]]
+    }
 }
 
 /// Per-tenant mutable run state (the single-tenant engine's locals, one
@@ -436,12 +481,16 @@ fn try_start(
 /// byte-identical to [`Simulator::run_costed`](crate::Simulator::run_costed)
 /// — which is implemented as exactly that call.
 ///
+/// Each tenant's cost table is read from the consumer side, as the
+/// schedulers read it; the producer-side fan-out that completions deliver
+/// along is sorted from it once per call (O(sets + edges) per tenant).
+///
 /// # Errors
 ///
 /// Returns [`SimError::BadWorkload`] when any tenant's inputs disagree
-/// (shapes, mismatched cost tables, missing fan-out CSR, wrong home-tile
-/// count) and [`SimError::Deadlock`] when unfinished sets remain after the
-/// event heap drains.
+/// (shapes, mismatched cost tables, wrong home-tile count) and
+/// [`SimError::Deadlock`] when unfinished sets remain after the event heap
+/// drains.
 pub fn run_shared(
     workloads: &[TenantWorkload<'_>],
     fabric: &FabricContention,
@@ -461,14 +510,6 @@ pub fn run_shared(
                 detail: format!("tenant {k}: cost table was built from different dependencies"),
             });
         }
-        if !w.costed.has_fanout() {
-            return Err(SimError::BadWorkload {
-                detail: format!(
-                    "tenant {k}: event engine needs a cost table built with the fan-out CSR \
-                     (use CostedDeps::build, not a consumer-only table)"
-                ),
-            });
-        }
         if let Some(tiles) = &w.home_tiles {
             if tiles.len() != w.layers.len() {
                 return Err(SimError::BadWorkload {
@@ -482,6 +523,7 @@ pub fn run_shared(
         }
     }
 
+    let fanouts: Vec<FanOut> = workloads.iter().map(|w| FanOut::of(w.costed)).collect();
     let mut states: Vec<TenantState> = workloads.iter().map(TenantState::new).collect();
     let mut fs = FabricState::default();
     // Event heap: Reverse ordering on (finish, tenant, layer, set).
@@ -515,14 +557,14 @@ pub fn run_shared(
         // only run-time addition.
         let produced = w.costed.space().index(l, s);
         let bytes = w.costed.set_bytes(l, s);
-        let (consumers, latencies, hops) = w.costed.outgoing(produced);
-        if !consumers.is_empty() {
+        let fan_out = fanouts[k].of_producer(produced);
+        if !fan_out.is_empty() {
             let st = &mut states[k];
-            st.pending_consumers[produced] = consumers.len() as u32;
+            st.pending_consumers[produced] = fan_out.len() as u32;
             st.live_bytes += bytes;
             st.peak_live_bytes = st.peak_live_bytes.max(st.live_bytes);
         }
-        for ((c, &delay), &edge_hops) in consumers.iter().zip(latencies).zip(hops) {
+        for &(c, delay, edge_hops) in fan_out {
             let mut arrival = t + delay;
             if let (Some(noc), Some(tiles)) = (&fabric.noc, &w.home_tiles) {
                 let bw = fabric.spec.link_bandwidth_bytes_per_cycle;
@@ -624,8 +666,9 @@ pub fn run_shared(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cim_arch::{place_groups, Architecture, PlacementStrategy, TileSpec};
     use cim_ir::{FeatureShape, NodeId, Rect};
-    use clsa_core::{OfmSet, SetRef};
+    use clsa_core::{cross_layer_schedule_costed, EdgeCost, OfmSet};
 
     /// `n` sets of `dur` cycles on a `pes`-PE group.
     fn layer(nsets: usize, dur: u64, pes: usize) -> LayerSets {
@@ -662,24 +705,108 @@ mod tests {
         CostedDeps::free(layers, deps).unwrap()
     }
 
+    /// A tenant arriving at 0 with no home tiles; override fields with
+    /// struct-update syntax.
+    fn tenant<'a>(
+        layers: &'a [LayerSets],
+        deps: &'a Dependencies,
+        costed: &'a CostedDeps,
+    ) -> TenantWorkload<'a> {
+        TenantWorkload {
+            layers,
+            deps,
+            costed,
+            arrival: 0,
+            home_tiles: None,
+        }
+    }
+
+    fn uncontended(workloads: &[TenantWorkload<'_>]) -> Result<SharedOutcome> {
+        run_shared(workloads, &FabricContention::uncontended())
+    }
+
+    /// Set (0,0) feeds (1,0) and (1,1); set (0,1) feeds (1,1), and a
+    /// NoC + GPEU table over it.
+    fn fan_workload() -> (Vec<LayerSets>, Dependencies, CostedDeps) {
+        let layers = vec![layer(2, 4, 1), layer(2, 8, 1)];
+        let (a, b) = (SetRef { layer: 0, set: 0 }, SetRef { layer: 0, set: 1 });
+        let (c, d) = (SetRef { layer: 1, set: 0 }, SetRef { layer: 1, set: 1 });
+        let deps = Dependencies::from_edges(&[2, 2], &[(c, a), (d, a), (d, b)]).unwrap();
+        let arch = Architecture::builder()
+            .tile(TileSpec {
+                pes_per_tile: 1,
+                ..TileSpec::isaac_like()
+            })
+            .pes(2)
+            .build()
+            .unwrap();
+        let placement = place_groups(&arch, &[1, 1], PlacementStrategy::Contiguous).unwrap();
+        let noc = EdgeCost::NocAndGpeu { arch, placement };
+        let costed = CostedDeps::build(&layers, &deps, &noc).unwrap();
+        (layers, deps, costed)
+    }
+
+    #[test]
+    fn fanout_lists_consumers_in_arena_order() {
+        let (layers, deps, noc) = fan_workload();
+        for costed in [free_costed(&layers, &deps), noc] {
+            let fan = FanOut::of(&costed);
+            let index = |l, s| costed.space().index(l, s);
+            // The `k`-th edge into consumer (1, set): latency and hops move
+            // over from the consumer side unchanged.
+            let edge = |set, k: usize| {
+                let i = index(1, set);
+                let hop = costed.hops_into(i).get(k).copied().unwrap_or(0);
+                (SetRef { layer: 1, set }, costed.incoming(i).1[k], hop)
+            };
+            assert_eq!(fan.of_producer(index(0, 0)), &[edge(0, 0), edge(1, 0)]);
+            assert_eq!(fan.of_producer(index(0, 1)), &[edge(1, 1)]);
+            // Sinks feed nobody; every consumer edge appears exactly once.
+            assert!(fan.of_producer(index(1, 0)).is_empty());
+            let total: usize = (0..costed.space().total_sets())
+                .map(|i| fan.of_producer(i).len())
+                .sum();
+            assert_eq!(total, costed.num_edges());
+        }
+    }
+
+    #[test]
+    fn free_and_noc_tables_run_side_by_side() {
+        let (layers, deps, noc) = fan_workload();
+        let free = free_costed(&layers, &deps);
+        let out = uncontended(&[tenant(&layers, &deps, &free), tenant(&layers, &deps, &noc)]);
+        let out = out.unwrap();
+        for (t, costed) in out.tenants.iter().zip([&free, &noc]) {
+            // Without home tiles nothing is shared: each tenant runs its own
+            // analytic schedule and sends one message per edge.
+            let analytic = cross_layer_schedule_costed(&layers, &deps, costed).unwrap();
+            assert_eq!(t.result.schedule, analytic);
+            assert_eq!(t.result.stats.messages, costed.num_edges() as u64);
+        }
+        let (free_run, noc_run) = (&out.tenants[0].result, &out.tenants[1].result);
+        assert!(free_run.stats.hop_profile.is_empty(), "Free moves no NoC data");
+        let sent: u64 = noc_run.stats.hop_profile.iter().map(|c| c.messages).sum();
+        assert_eq!(sent, noc.num_edges() as u64);
+        let bytes: u64 = noc_run.stats.hop_profile.iter().map(|c| c.bytes).sum();
+        assert_eq!(bytes, noc.total_dep_bytes());
+        assert!(noc_run.schedule.makespan > free_run.schedule.makespan);
+    }
+
     #[test]
     fn two_tenants_on_one_tile_serialize() {
         let (layers, deps) = chain_workload();
         let costed = free_costed(&layers, &deps);
-        let solo = |arrival| TenantWorkload {
-            layers: &layers,
-            deps: &deps,
-            costed: &costed,
-            arrival,
+        let solo = || TenantWorkload {
             home_tiles: Some(vec![TileId(0), TileId(0)]),
+            ..tenant(&layers, &deps, &costed)
         };
         // Alone: the two-layer chain finishes at cycle 40 (2 sets × 10
         // per layer, pipelined over one shared tile window).
-        let alone = run_shared(&[solo(0)], &FabricContention::uncontended()).unwrap();
+        let alone = uncontended(&[solo()]).unwrap();
         // Together on the same tile: the second tenant's work interleaves
         // with the first's, so at least one tenant sees occupancy stalls
         // and the combined makespan exceeds the solo one.
-        let both = run_shared(&[solo(0), solo(0)], &FabricContention::uncontended()).unwrap();
+        let both = uncontended(&[solo(), solo()]).unwrap();
         assert!(both.makespan > alone.makespan);
         let stalls: u64 = both.tenants.iter().map(|t| t.occupancy_stall_cycles).sum();
         assert!(stalls > 0, "same-tile tenants must contend");
@@ -693,17 +820,14 @@ mod tests {
         let (layers, deps) = chain_workload();
         let costed = free_costed(&layers, &deps);
         let on = |tile| TenantWorkload {
-            layers: &layers,
-            deps: &deps,
-            costed: &costed,
-            arrival: 0,
             home_tiles: Some(vec![TileId(tile), TileId(tile)]),
+            ..tenant(&layers, &deps, &costed)
         };
-        let out = run_shared(&[on(0), on(1)], &FabricContention::uncontended()).unwrap();
+        let out = uncontended(&[on(0), on(1)]).unwrap();
         for t in &out.tenants {
             assert_eq!(t.occupancy_stall_cycles, 0);
         }
-        let solo = run_shared(&[on(0)], &FabricContention::uncontended()).unwrap();
+        let solo = uncontended(&[on(0)]).unwrap();
         assert_eq!(out.makespan, solo.makespan);
     }
 
@@ -712,17 +836,10 @@ mod tests {
         let (layers, deps) = chain_workload();
         let costed = free_costed(&layers, &deps);
         let w = TenantWorkload {
-            layers: &layers,
-            deps: &deps,
-            costed: &costed,
             arrival: 100,
-            home_tiles: None,
+            ..tenant(&layers, &deps, &costed)
         };
-        let out = run_shared(
-            std::slice::from_ref(&w),
-            &FabricContention::uncontended(),
-        )
-        .unwrap();
+        let out = uncontended(&[w]).unwrap();
         let t = &out.tenants[0];
         assert_eq!(t.result.schedule.makespan, 100 + t.span_cycles);
         assert!(t.result.schedule.time(0, 0).start >= 100);
@@ -732,12 +849,9 @@ mod tests {
     fn capacity_pressure_evicts_and_reloads() {
         let (layers, deps) = chain_workload();
         let costed = free_costed(&layers, &deps);
-        let w = |_| TenantWorkload {
-            layers: &layers,
-            deps: &deps,
-            costed: &costed,
-            arrival: 0,
+        let w = || TenantWorkload {
             home_tiles: Some(vec![TileId(0), TileId(0)]),
+            ..tenant(&layers, &deps, &costed)
         };
         // Each tenant's working set is 4 PEs; capacity 4 forces the two
         // tenants (8 PEs combined) to thrash.
@@ -749,7 +863,7 @@ mod tests {
                 ..FabricSpec::uncontended()
             },
         };
-        let out = run_shared(&[w(0), w(1)], &fabric).unwrap();
+        let out = run_shared(&[w(), w()], &fabric).unwrap();
         let evictions: u64 = out.tenants.iter().map(|t| t.evictions).sum();
         let reloads: u64 = out.tenants.iter().map(|t| t.reloads).sum();
         assert!(evictions > 0, "combined working set must not fit");
@@ -757,7 +871,7 @@ mod tests {
         let reload_cycles: u64 = out.tenants.iter().map(|t| t.reload_cycles).sum();
         assert_eq!(reload_cycles, reloads * 2 * 50, "2 PEs per reloaded block");
         // Unbounded capacity: same mix, zero evictions.
-        let idle = run_shared(&[w(0), w(1)], &FabricContention::uncontended()).unwrap();
+        let idle = uncontended(&[w(), w()]).unwrap();
         assert_eq!(idle.tenants.iter().map(|t| t.evictions).sum::<u64>(), 0);
     }
 
@@ -769,11 +883,8 @@ mod tests {
         // simultaneously, but the XY routes 0→3 and 1→3 on the 2×2 mesh
         // share the link (0,1)→(1,1): the second sender must wait.
         let w = |producer_tile| TenantWorkload {
-            layers: &layers,
-            deps: &deps,
-            costed: &costed,
-            arrival: 0,
             home_tiles: Some(vec![TileId(producer_tile), TileId(3)]),
+            ..tenant(&layers, &deps, &costed)
         };
         let fabric = FabricContention {
             noc: Some(NocSpec::square_for(4)),
@@ -785,7 +896,7 @@ mod tests {
         let contended = run_shared(&[w(0), w(1)], &fabric).unwrap();
         let stalls: u64 = contended.tenants.iter().map(|t| t.link_stall_cycles).sum();
         assert!(stalls > 0, "simultaneous sends over a shared link must queue");
-        let idle = run_shared(&[w(0), w(1)], &FabricContention::uncontended()).unwrap();
+        let idle = uncontended(&[w(0), w(1)]).unwrap();
         assert!(contended.makespan > idle.makespan);
     }
 
@@ -794,17 +905,10 @@ mod tests {
         let (layers, deps) = chain_workload();
         let costed = free_costed(&layers, &deps);
         let w = TenantWorkload {
-            layers: &layers,
-            deps: &deps,
-            costed: &costed,
-            arrival: 0,
             home_tiles: Some(vec![TileId(0)]), // 1 tile for 2 layers
+            ..tenant(&layers, &deps, &costed)
         };
-        let err = run_shared(
-            std::slice::from_ref(&w),
-            &FabricContention::uncontended(),
-        )
-        .unwrap_err();
+        let err = uncontended(&[w]).unwrap_err();
         assert!(matches!(err, SimError::BadWorkload { .. }));
     }
 
@@ -820,18 +924,7 @@ mod tests {
         )
         .unwrap();
         let costed = free_costed(&layers, &cyclic);
-        let w = TenantWorkload {
-            layers: &layers,
-            deps: &cyclic,
-            costed: &costed,
-            arrival: 0,
-            home_tiles: None,
-        };
-        let err = run_shared(
-            std::slice::from_ref(&w),
-            &FabricContention::uncontended(),
-        )
-        .unwrap_err();
+        let err = uncontended(&[tenant(&layers, &cyclic, &costed)]).unwrap_err();
         assert!(matches!(err, SimError::Deadlock { .. }));
     }
 }
